@@ -27,7 +27,7 @@ from .graphs import load_graph
 from .laplacian import build_laplacian
 from .limits import enhancement_table, limit_value
 from .measures import evaluate, parse_measure
-from .montecarlo import SimConfig, stable_step_bound, validate_measure
+from .montecarlo import SimConfig, stable_step_bound, stationary_time, validate_measure
 from .synthesis import CandidateSet, brute_force, greedy, linearized
 
 EXIT_OK = 0
@@ -142,10 +142,7 @@ def cmd_validate(args) -> int:
     m = parse_measure(args.measure)
     state = _load_state(args.graph)
     dt = args.dt if args.dt is not None else 0.2 * stable_step_bound(state)
-    if m.kind == "tau":
-        needed_t = float(m.param)
-    else:
-        needed_t = 20.0 / float(state.eigvals[1])
+    needed_t = float(m.param) if m.kind == "tau" else stationary_time(state)
     t_final = args.t_final if args.t_final is not None else needed_t
     cfg = SimConfig(dt=dt, t_final=t_final, trials=args.trials, seed=args.seed)
     report = validate_measure(state, m, cfg)

@@ -27,6 +27,14 @@ def canonical_edge(i: int, j: int) -> Edge:
     return (i, j) if i < j else (j, i)
 
 
+def add_link(L: np.ndarray, i: int, j: int, w: float) -> None:
+    """Add the weighted link {i, j} to the Laplacian matrix L in place."""
+    L[i, i] += w
+    L[j, j] += w
+    L[i, j] -= w
+    L[j, i] -= w
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """A simple undirected graph with positive edge weights on n >= 2 nodes."""
@@ -78,10 +86,7 @@ class WeightedGraph:
         """Dense Laplacian matrix (degree minus adjacency)."""
         L = np.zeros((self.n, self.n))
         for (i, j), w in self.edges.items():
-            L[i, i] += w
-            L[j, j] += w
-            L[i, j] -= w
-            L[j, i] -= w
+            add_link(L, i, j, w)
         return L
 
     def sorted_edges(self) -> list[tuple[Edge, float]]:

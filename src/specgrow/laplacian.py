@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, NotConnected
-from .graphs import Edge, WeightedGraph, canonical_edge
+from .graphs import Edge, WeightedGraph, add_link, canonical_edge
 
 _PINV_POWERS = (1, 2, 3)
 
@@ -65,12 +65,6 @@ class LaplacianState:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def connected(self) -> bool:
-        # Connectivity is a construction invariant: build_laplacian refuses
-        # disconnected graphs and edge addition cannot disconnect.
-        return True
 
     # --- spectrum (lazy after rank-one updates) ------------------------
 
@@ -161,13 +155,24 @@ class LaplacianState:
               - (c ** 3) * uu * uu * uuT)
 
         L = np.array(self.matrix)
-        L[i, i] += w
-        L[j, j] += w
-        L[i, j] -= w
-        L[j, i] -= w
+        add_link(L, i, j, w)
 
         graph = self.graph.with_edge((i, j), w)
         return LaplacianState(graph, L, {1: Q1, 2: Q2, 3: Q3})
+
+
+def downdated_inverse_spectrum(state: LaplacianState, edge: Edge, weight: float) -> np.ndarray:
+    """Nonzero pseudo-inverse eigenvalues, ascending, after adding the edge.
+
+    The weight may be inf: the downdate coefficient (1/w + r_e)^-1 is then
+    1/r_e, the infinite-coupling limit.
+    """
+    i, j = canonical_edge(*edge)
+    P1 = np.asarray(state.pinv_power(1))
+    u = P1[:, i] - P1[:, j]
+    c = 1.0 / (1.0 / float(weight) + float(u[i] - u[j]))
+    mus = np.linalg.eigvalsh(P1 - c * np.outer(u, u))
+    return np.maximum(mus[1:], 0.0)
 
 
 def connectivity_tolerance(eigvals: np.ndarray) -> float:

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, UnsupportedMeasure
-from .graphs import Edge
-from .laplacian import LaplacianState
+from .graphs import Edge, WeightedGraph
+from .laplacian import LaplacianState, downdated_inverse_spectrum
 from .measures import MeasureSpec, companion_value, evaluate, spectral_value
+from .synthesis import closed_form_delta
 
 
 def limit_value(m: MeasureSpec, n: int) -> float:
@@ -56,13 +57,9 @@ def max_single_link_gain(state: LaplacianState, edge: Edge, m: MeasureSpec) -> f
     This is the infinite-weight limit; for the volume and mq measures it
     is +inf (one link can improve them without bound).
     """
-    res = state.edge_resistances(edge)
     if m.kind == "zeta" and m.param == 1.0:
-        return res.r2 / res.r1
-    i, j = edge
-    P1 = np.asarray(state.pinv_power(1))
-    u = P1[:, i] - P1[:, j]
-    mus = np.linalg.eigvalsh(P1 - np.outer(u, u) / res.r1)[1:]
+        return closed_form_delta(m, state, edge, math.inf)
+    mus = downdated_inverse_spectrum(state, edge, math.inf)
     # The infinite-weight downdate loses one more rank; snap the noise-level
     # eigenvalue to an exact zero so per-measure limits (e.g. -inf) apply.
     mus[mus < mus.size * np.finfo(float).eps * max(float(mus[-1]), 1.0)] = 0.0
@@ -72,8 +69,7 @@ def max_single_link_gain(state: LaplacianState, edge: Edge, m: MeasureSpec) -> f
 
 def zeta2_squared_gain_limit(state: LaplacianState, edge: Edge) -> float:
     """Infinite-weight ceiling of the squared-scale zeta:q=2 decrease."""
-    res = state.edge_resistances(edge)
-    return 2.0 * res.r3 / res.r1 - (res.r2 / res.r1) ** 2
+    return closed_form_delta(MeasureSpec("zeta", 2.0), state, edge, math.inf)
 
 
 @dataclass(frozen=True)
@@ -143,13 +139,7 @@ def star_tree_sweep(state: LaplacianState, m: MeasureSpec,
                     scales=(1e1, 1e2, 1e3, 1e4), center: int = 0) -> list[float]:
     """Measure values of L + kappa * L_star for each kappa, by full recompute."""
     n = state.n
-    T = np.full((n, n), 0.0)
-    for v in range(n):
-        if v != center:
-            T[center, center] += 1.0
-            T[v, v] += 1.0
-            T[center, v] -= 1.0
-            T[v, center] -= 1.0
+    T = WeightedGraph(n, {(center, v): 1.0 for v in range(n) if v != center}).laplacian()
     out = []
     for kappa in scales:
         vals = np.linalg.eigvalsh(np.asarray(state.matrix) + float(kappa) * T)

@@ -125,7 +125,7 @@ def spectral_value(m: MeasureSpec, eigenvalues, n: int) -> float:
     lams = np.asarray(eigenvalues, dtype=float)
     if lams.size != n - 1:
         raise InvalidParameter(f"expected {n - 1} nonzero eigenvalues, got {lams.size}")
-    if np.any(lams <= 0.0):
+    if (lams <= 0.0).any():
         raise InvalidParameter("nonzero eigenvalues must be strictly positive")
 
     if m.kind == "zeta":
@@ -167,45 +167,16 @@ def evaluate(m: MeasureSpec, state: LaplacianState) -> float:
 def companion_value(m: MeasureSpec, inverse_spectrum, n: int | None = None) -> float:
     """Measure value written on the pseudo-inverse spectrum mu_2 <= ... <= mu_n.
 
-    Matches `evaluate` exactly in exact arithmetic; entries equal to zero
-    are the infinite-coupling limit and take their per-measure limit value.
+    This is `spectral_value` at lam = 1/mu, so it matches `evaluate`; entries
+    equal to zero are the infinite-coupling limit lam = inf.
     """
     mus = np.asarray(inverse_spectrum, dtype=float)
     if n is None:
         n = mus.size + 1
-    if np.any(mus < 0.0):
+    if (mus < 0.0).any():
         raise InvalidParameter("inverse spectrum must be nonnegative")
-
-    if m.kind == "zeta":
-        q = m.param
-        if math.isinf(q):
-            return float(np.max(mus))
-        return float(np.sum(mus ** q)) ** (1.0 / q)
-    if m.kind == "gamma":
-        g = m.param
-        if g < float(np.max(mus)):
-            return math.inf
-        pos = mus[mus > 0.0]
-        x = 1.0 / pos
-        root = np.sqrt(np.maximum(x * x - g ** -2, 0.0))
-        return float(np.sum(1.0 / (x + root)))
-    if m.kind == "tau":
-        t = m.param
-        pos = mus[mus > 0.0]
-        return float(0.5 * np.sum(pos * (1.0 - np.exp(-2.0 * t / pos))))
-    if m.kind == "hankel":
-        return float(0.5 * np.max(mus))
-    if m.kind == "volume":
-        with np.errstate(divide="ignore"):
-            return float((1.0 - n) * math.log(2.0) + np.sum(np.log(mus)))
-    if m.kind == "hp":
-        p = m.param
-        if math.isinf(p):
-            return float(np.max(mus))
-        return hardy_schatten_alpha0(p) * float(np.sum(mus ** (p - 1.0))) ** (1.0 / p)
-    q = m.param
     with np.errstate(divide="ignore"):
-        return float(-np.sum(mus ** -q))
+        return spectral_value(m, 1.0 / mus, n)
 
 
 # --- gradients ---------------------------------------------------------------

@@ -12,8 +12,11 @@ candidate link set:
 * :func:`linearized` - one gradient of the measure, then the k candidates
   with the largest first-order improvement in a single pass.
 
-All tie-breaking is deterministic: scores within a 1e-12 relative band are
-tied and the lexicographically smallest canonical edge wins.
+All tie-breaking is deterministic.  Greedy and brute force share one rule:
+the pick is the lex-smallest candidate within 1e-12 relative of the minimum
+score (relative to max(1, |minimum|)), and greedy's `tie_breaks` counts the
+other candidates in that band.  The linearized solver breaks equal scores by
+edge order and counts the candidates tied with its k-th pick.
 """
 
 from __future__ import annotations
@@ -21,16 +24,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from time import perf_counter
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import (CombinatorialBlowup, GraphFormatError, InvalidParameter,
                      UnsupportedMeasure)
-from .graphs import Edge, canonical_edge
-from .laplacian import LaplacianState
+from .graphs import Edge, add_link, canonical_edge
+from .laplacian import LaplacianState, downdated_inverse_spectrum
 from .measures import MeasureSpec, companion_value, evaluate, gradient, spectral_value
 
 TIE_REL = 1e-12
@@ -129,14 +132,22 @@ class SynthesisResult:
 # --- scoring helpers ---------------------------------------------------------
 
 
-def _closed_form_kind(m: MeasureSpec) -> str | None:
-    if m.kind == "zeta" and m.param == 1.0:
-        return "zeta1"
-    if m.kind == "zeta" and m.param == 2.0:
-        return "zeta2"
-    if m.kind == "volume":
-        return "volume"
-    return None
+class _ClosedForm(NamedTuple):
+    power: int | None    # the statistic is tr P^power; None carries the value itself
+    drop: Callable       # (w, c, r1, r2, r3) -> decrease of the statistic
+    transform: Callable  # statistic -> measure value
+
+
+# Measures whose post-addition value follows in O(1) from the effective
+# resistances r_q of the link under P^q, with c = (1/w + r1)^-1.
+_CLOSED_FORMS = {
+    MeasureSpec("zeta", 1.0): _ClosedForm(1, lambda w, c, r1, r2, r3: c * r2, lambda s: s),
+    MeasureSpec("zeta", 2.0): _ClosedForm(
+        2, lambda w, c, r1, r2, r3: 2.0 * c * r3 - (c * r2) ** 2,
+        lambda s: np.sqrt(np.maximum(s, 0.0))),
+    MeasureSpec("volume"): _ClosedForm(None, lambda w, c, r1, r2, r3: np.log1p(r1 * w),
+                                       lambda s: s),
+}
 
 
 def closed_form_delta(m: MeasureSpec, state: LaplacianState, edge: Edge, weight: float) -> float:
@@ -144,74 +155,47 @@ def closed_form_delta(m: MeasureSpec, state: LaplacianState, edge: Edge, weight:
 
     Supported: zeta:q=1, volume, and zeta:q=2 (for which the returned
     decrease is on the squared scale, tr of the squared pseudo-inverse).
+    A weight of inf gives the infinite-coupling limit.
     """
-    kind = _closed_form_kind(m)
-    if kind is None:
+    form = _CLOSED_FORMS.get(m)
+    if form is None:
         raise UnsupportedMeasure(f"no resistance closed form for {m.label}")
     res = state.edge_resistances(edge)
-    c = 1.0 / (1.0 / float(weight) + res.r1)
-    if kind == "zeta1":
-        return c * res.r2
-    if kind == "zeta2":
-        return 2.0 * c * res.r3 - (c * res.r2) ** 2
-    return math.log1p(res.r1 * float(weight))
-
-
-def _downdated_inverse_spectrum(state: LaplacianState, edge: Edge, weight: float) -> np.ndarray:
-    """Nonzero eigenvalues of the pseudo-inverse after adding the edge."""
-    i, j = edge
-    P1 = np.asarray(state.pinv_power(1))
-    u = P1[:, i] - P1[:, j]
-    r1 = float(u[i] - u[j])
-    c = 1.0 / (1.0 / float(weight) + r1)
-    mus = np.linalg.eigvalsh(P1 - c * np.outer(u, u))
-    return np.maximum(mus[1:], 0.0)
+    w = float(weight)
+    return float(form.drop(w, 1.0 / (1.0 / w + res.r1), res.r1, res.r2, res.r3))
 
 
 def _initial_value(m: MeasureSpec, state: LaplacianState) -> float:
-    kind = _closed_form_kind(m)
-    if kind == "zeta1":
-        return float(np.trace(state.pinv_power(1)))
-    if kind == "zeta2":
-        return math.sqrt(float(np.trace(state.pinv_power(2))))
-    return evaluate(m, state)
+    form = _CLOSED_FORMS.get(m)
+    if form is None or form.power is None:
+        return evaluate(m, state)
+    return float(form.transform(np.trace(state.pinv_power(form.power))))
 
 
 def _score_candidates(m: MeasureSpec, state: LaplacianState,
                       links: list[tuple[Edge, float]], current: float) -> np.ndarray:
     """Post-addition measure value for every remaining candidate link."""
-    kind = _closed_form_kind(m)
-    if kind is not None:
-        rows = np.fromiter((e[0] for e, _ in links), dtype=int)
-        cols = np.fromiter((e[1] for e, _ in links), dtype=int)
-        ws = np.fromiter((w for _, w in links), dtype=float)
-        r1 = state.resistance_matrix(1)[rows, cols]
-        c = 1.0 / (1.0 / ws + r1)
-        if kind == "zeta1":
-            r2 = state.resistance_matrix(2)[rows, cols]
-            return float(np.trace(state.pinv_power(1))) - c * r2
-        if kind == "zeta2":
-            r2 = state.resistance_matrix(2)[rows, cols]
-            r3 = state.resistance_matrix(3)[rows, cols]
-            sq = float(np.trace(state.pinv_power(2))) - (2.0 * c * r3 - (c * r2) ** 2)
-            return np.sqrt(np.maximum(sq, 0.0))
-        return current - np.log1p(r1 * ws)
-    scores = np.empty(len(links))
-    for idx, (e, w) in enumerate(links):
-        scores[idx] = companion_value(m, _downdated_inverse_spectrum(state, e, w), state.n)
-    return scores
+    form = _CLOSED_FORMS.get(m)
+    if form is None:
+        return np.array([companion_value(m, downdated_inverse_spectrum(state, e, w), state.n)
+                         for e, w in links])
+    rows = np.fromiter((e[0] for e, _ in links), dtype=int)
+    cols = np.fromiter((e[1] for e, _ in links), dtype=int)
+    ws = np.fromiter((w for _, w in links), dtype=float)
+    r1, r2, r3 = (state.resistance_matrix(q)[rows, cols] for q in (1, 2, 3))
+    c = 1.0 / (1.0 / ws + r1)
+    stat = current if form.power is None else float(np.trace(state.pinv_power(form.power)))
+    return form.transform(stat - form.drop(ws, c, r1, r2, r3))
 
 
 def _argmin_lex(scores) -> tuple[int, int]:
-    """Index of the smallest score; ties go to the earliest (lex-smallest) entry."""
-    best, ties = 0, 0
-    for idx in range(1, len(scores)):
-        s, b = float(scores[idx]), float(scores[best])
-        if _tie(b, s):
-            ties += 1
-        elif s < b:
-            best, ties = idx, 0
-    return best, ties
+    """Lex-smallest index within TIE_REL of the minimum, and how many other
+    indices share that band.  An infinite minimum ties only with itself."""
+    s = np.asarray(scores, dtype=float)
+    best = float(s.min())
+    limit = best + TIE_REL * max(1.0, abs(best)) if math.isfinite(best) else best
+    band = s <= limit
+    return int(np.argmax(band)), int(np.count_nonzero(band)) - 1
 
 
 def _check_instance(state: LaplacianState, candidates: CandidateSet, k: int) -> None:
@@ -258,10 +242,7 @@ def _subset_value(m: MeasureSpec, state: LaplacianState,
                   subset: Iterable[tuple[Edge, float]]) -> float:
     L = np.array(state.matrix)
     for (i, j), w in subset:
-        L[i, i] += w
-        L[j, j] += w
-        L[i, j] -= w
-        L[j, i] -= w
+        add_link(L, i, j, w)
     vals = np.linalg.eigvalsh(L)
     return spectral_value(m, vals[1:], state.n)
 
@@ -278,13 +259,12 @@ def brute_force(state: LaplacianState, candidates: CandidateSet, k: int,
         raise CombinatorialBlowup(f"{n_subsets} subsets exceed the cap of {cap}")
 
     t0 = perf_counter()
-    best_subset, best_value = (), evaluate(m, state)
-    if k > 0:
-        best_subset, best_value = None, None
-        for subset in combinations(candidates.links, k):
-            value = _subset_value(m, state, subset)
-            if best_value is None or (not _tie(best_value, value) and value < best_value):
-                best_subset, best_value = subset, value
+    # Stream the subsets twice rather than hold up to `cap` of them.
+    scores = np.fromiter((_subset_value(m, state, subset)
+                          for subset in combinations(candidates.links, k)),
+                         dtype=float, count=n_subsets)
+    pick, _ = _argmin_lex(scores)
+    best_subset = next(islice(combinations(candidates.links, k), pick, None))
     search_time = perf_counter() - t0
 
     values = [_initial_value(m, state)]
@@ -325,24 +305,10 @@ def linearized(state: LaplacianState, candidates: CandidateSet, k: int,
     cur = state
     for step, idx in enumerate(picked):
         t1 = perf_counter()
-        edge, w = candidates.links[idx]
-        prev = cur
-        cur = cur.with_edge(edge, w)
-        values.append(_augmented_value(m, prev, values[-1], edge, w, cur))
+        link = candidates.links[idx]
+        values.append(float(_score_candidates(m, cur, [link], values[-1])[0]))
+        cur = cur.with_edge(*link)
         elapsed.append(perf_counter() - t1 + (select_time if step == 0 else 0.0))
 
     chosen = tuple(candidates.links[idx] for idx in picked)
     return SynthesisResult("linear", chosen, tuple(values), tuple(elapsed), tie_breaks)
-
-
-def _augmented_value(m: MeasureSpec, prev_state: LaplacianState, prev_value: float,
-                     edge: Edge, w: float, new_state: LaplacianState) -> float:
-    kind = _closed_form_kind(m)
-    if kind == "zeta1":
-        return float(np.trace(new_state.pinv_power(1)))
-    if kind == "zeta2":
-        return math.sqrt(float(np.trace(new_state.pinv_power(2))))
-    if kind == "volume":
-        return prev_value - math.log1p(prev_state.edge_resistance(edge) * w)
-    mus = np.maximum(np.linalg.eigvalsh(np.asarray(new_state.pinv_power(1)))[1:], 0.0)
-    return companion_value(m, mus, new_state.n)

@@ -211,6 +211,35 @@ def test_companion_table_forms():
     assert sg.companion_value(sg.parse_measure("hankel"), mus) == pytest.approx(0.55)
     assert sg.companion_value(sg.parse_measure("volume"), mus, n=4) == \
         pytest.approx((1 - 4) * math.log(2) + float(np.sum(np.log(mus))), rel=1e-14)
+    # Explicit mu-side forms of all seven families.  A zero entry is an
+    # eigenvalue at infinity; each form takes its limit there.
+    g, t = 1.3, 0.7
+    forms = {
+        sg.MeasureSpec("zeta", q): lambda mu: float(np.sum(mu ** q)) ** (1 / q),
+        sg.MeasureSpec("zeta", math.inf): lambda mu: float(np.max(mu)),
+        sg.MeasureSpec("gamma", g):
+            lambda mu: float(np.sum(mu / (1 + np.sqrt(1 - (mu / g) ** 2)))),
+        sg.MeasureSpec("tau", t):
+            lambda mu: 0.5 * float(np.sum(mu * -np.expm1(-2 * t / mu))),
+        sg.parse_measure("hankel"): lambda mu: 0.5 * float(np.max(mu)),
+        sg.parse_measure("volume"):
+            lambda mu: -mu.size * math.log(2) + float(np.sum(np.log(mu))),
+        sg.MeasureSpec("hp", 2.0): lambda mu: math.sqrt(float(np.sum(mu)) / 2),
+        sg.MeasureSpec("hp", 3.0):
+            lambda mu: sg.hardy_schatten_alpha0(3.0) * float(np.sum(mu ** 2)) ** (1 / 3),
+        sg.MeasureSpec("hp", math.inf): lambda mu: float(np.max(mu)),
+        sg.MeasureSpec("mq", 0.4): lambda mu: -float(np.sum(mu ** -0.4)),
+        sg.MeasureSpec("mq", 0.0): lambda mu: -float(mu.size),
+    }
+    for mus in (np.array([0.2, 0.7, 1.1]), np.array([0.0, 0.2, 0.7, 1.1])):
+        for m, form in forms.items():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                expect = form(mus)
+            assert sg.companion_value(m, mus) == pytest.approx(expect, rel=1e-14), m.label
+        # the entropy is finite only while its level is at least max(mu)
+        assert sg.companion_value(sg.MeasureSpec("gamma", 1.0), mus) == math.inf
+    with pytest.raises(sg.InvalidParameter):
+        sg.companion_value(sg.parse_measure("zeta:q=1"), np.array([-0.1, 0.5]))
 
 
 def test_companion_equals_evaluate():

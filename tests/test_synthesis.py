@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import specgrow as sg
-from util import (full_recompute_value, k4, kind_suite, laplacian_of,
+from util import (full_recompute_value, k4, kind_suite, laplacian_of, path_graph,
                   random_candidates, random_connected, ring_graph, two_node)
 
 
@@ -190,6 +190,28 @@ def test_greedy_ties_break_lexicographically():
     assert res.tie_breaks >= 5
     resb = sg.brute_force(s, c, 1, sg.parse_measure("zeta:q=1"))
     assert resb.chosen[0][0] == (0, 1)
+
+
+def test_argmin_lex_band_is_relative_to_the_minimum():
+    from specgrow.synthesis import _argmin_lex
+    # 1 - 0.6e-12 is within 1e-12 of the minimum 1 - 1.2e-12 and comes first
+    assert _argmin_lex([1.0, 1 - 0.6e-12, 1 - 1.2e-12]) == (1, 1)
+    assert _argmin_lex([2.0, 0.5, 0.5, 3.0]) == (1, 1)
+    assert _argmin_lex([math.inf, math.inf, math.inf]) == (0, 2)
+    assert _argmin_lex([0.5, -math.inf, 1.0, -math.inf]) == (1, 1)
+
+
+def test_all_infinite_scores_pick_the_lex_first_candidate():
+    # gamma below its finiteness threshold stays +inf after tiny additions
+    s = sg.build_laplacian(path_graph(6))
+    m = sg.MeasureSpec("gamma", 0.5 / float(s.eigvals[1]))
+    c = sg.CandidateSet.from_triples([(3, 5, 1e-6), (0, 5, 1e-6), (1, 4, 1e-6), (0, 2, 1e-6)])
+    res = sg.greedy(s, c, 2, m)
+    assert [e for e, _ in res.chosen] == [(0, 2), (0, 5)]
+    assert res.values == (math.inf,) * 3
+    resb = sg.brute_force(s, c, 2, m)
+    assert [e for e, _ in resb.chosen] == [(0, 2), (0, 5)]
+    assert resb.values == (math.inf,) * 3
 
 
 def test_greedy_supermodular_ratio():
