@@ -6,7 +6,7 @@ from .errors import (AxiomViolation, CombinatorialBlowup, GraphFormatError,
                      NonDifferentiableMeasure, NotConnected, SelfLoopEdge,
                      SpecgrowError, UnstableStepSize, UnsupportedMeasure)
 from .graphs import WeightedGraph, canonical_edge, load_graph, meet, parse_graph, union
-from .laplacian import EdgeResistances, LaplacianState, build_laplacian
+from .laplacian import LaplacianState, build_laplacian
 from .limits import (BoundsReport, bounds_report, enhancement_table, limit_value,
                      lower_bound, max_single_link_gain, min_links_for_target,
                      spanning_tree_limit, star_tree_sweep, upper_bound_complete,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxiomViolation", "BoundsReport", "CandidateSet", "CombinatorialBlowup",
-    "EdgeResistances", "GraphFormatError", "InvalidParameter", "LaplacianState",
+    "GraphFormatError", "InvalidParameter", "LaplacianState",
     "MeasureSpec", "MeasureSpecError", "NodeCountMismatch",
     "NonDifferentiableMeasure", "NotConnected", "SelfLoopEdge", "SimConfig",
     "SpecgrowError", "SynthesisResult", "UnstableStepSize", "UnsupportedMeasure",

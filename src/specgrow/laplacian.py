@@ -2,17 +2,15 @@
 effective resistances, and the rank-one augmentation engine.
 
 A :class:`LaplacianState` is an immutable snapshot of a connected graph
-holding the Laplacian L, the powers of its Moore-Penrose pseudo-inverse
-(m = 1, 2, 3), and the matching effective-resistance matrices. Adding a
-weighted edge produces a new state in O(n^2) through a Sherman-Morrison
-rank-one downdate of the pseudo-inverse; eigenvalues of the augmented
-Laplacian are recomputed lazily only when something actually needs the
-spectrum.
+holding only the Laplacian L and the powers of its Moore-Penrose
+pseudo-inverse (m = 1, 2, 3). Effective resistances and the graph itself
+are read off those on demand. Adding a weighted edge produces a new state
+in O(n^2) through a Sherman-Morrison rank-one downdate of the
+pseudo-inverse; eigenvalues of the augmented Laplacian are recomputed
+lazily only when something actually needs the spectrum.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,20 +20,13 @@ from .graphs import Edge, WeightedGraph, add_link, canonical_edge
 _PINV_POWERS = (1, 2, 3)
 
 
-@dataclass(frozen=True)
-class EdgeResistances:
-    """Effective resistances of one node pair under L, L^2 and L^3."""
+def pair_form(M: np.ndarray, rows, cols):
+    """(e_i - e_j)^T M (e_i - e_j) for the pairs (rows, cols), which broadcast.
 
-    r1: float
-    r2: float
-    r3: float
-
-
-def _resistance_matrix(pinv: np.ndarray) -> np.ndarray:
-    d = np.diag(pinv)
-    R = d[:, None] + d[None, :] - 2.0 * pinv
-    np.fill_diagonal(R, 0.0)
-    return R
+    On a pseudo-inverse power P^m this is the effective resistance under L^m.
+    """
+    d = np.diag(M)
+    return d[rows] + d[cols] - 2.0 * M[rows, cols]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -47,16 +38,16 @@ class LaplacianState:
     """Read-only spectral state of a connected weighted graph.
 
     Construct with :func:`build_laplacian`; grow with :meth:`with_edge`.
-    Instances never mutate user-visible data and may be shared freely
-    across threads (the lazy eigendecomposition is an idempotent cache).
+    Stores L and P^1..P^3 only; resistances and :attr:`graph` are derived
+    when asked for. Instances never mutate user-visible data and may be
+    shared freely across threads (the lazy eigendecomposition is an
+    idempotent cache).
     """
 
-    def __init__(self, graph: WeightedGraph, matrix: np.ndarray,
-                 pinv: dict[int, np.ndarray], eigvals=None, eigvecs=None):
-        self.graph = graph
+    def __init__(self, matrix: np.ndarray, pinv: dict[int, np.ndarray],
+                 eigvals=None, eigvecs=None):
         self.matrix = _freeze(matrix)
         self._pinv = {m: _freeze(pinv[m]) for m in _PINV_POWERS}
-        self._res = {m: _freeze(_resistance_matrix(pinv[m])) for m in _PINV_POWERS}
         self._eigvals = eigvals
         self._eigvecs = eigvecs
 
@@ -65,6 +56,14 @@ class LaplacianState:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def graph(self) -> WeightedGraph:
+        """The graph of L: each link weight is -L[i, j], the exact summed weight."""
+        L = self.matrix
+        rows, cols = np.nonzero(np.triu(L, 1))
+        return WeightedGraph(self.n, dict(zip(zip(rows.tolist(), cols.tolist()),
+                                              (-L[rows, cols]).tolist())))
 
     # --- spectrum (lazy after rank-one updates) ------------------------
 
@@ -106,20 +105,13 @@ class LaplacianState:
         return self._pinv[m]
 
     def resistance_matrix(self, m: int = 1) -> np.ndarray:
-        """Matrix of pairwise effective resistances under L^m."""
-        if m not in _PINV_POWERS:
-            raise InvalidParameter(f"resistance power must be in {_PINV_POWERS}, got {m}")
-        return self._res[m]
+        """Matrix of pairwise effective resistances under L^m, computed per call."""
+        idx = np.arange(self.n)
+        return pair_form(self.pinv_power(m), idx[:, None], idx[None, :])
 
     def edge_resistance(self, edge: Edge, m: int = 1) -> float:
         i, j = canonical_edge(*edge)
-        return float(self.resistance_matrix(m)[i, j])
-
-    def edge_resistances(self, edge: Edge) -> EdgeResistances:
-        i, j = canonical_edge(*edge)
-        return EdgeResistances(float(self._res[1][i, j]),
-                               float(self._res[2][i, j]),
-                               float(self._res[3][i, j]))
+        return float(pair_form(self.pinv_power(m), i, j))
 
     # --- rank-one growth ------------------------------------------------
 
@@ -138,7 +130,7 @@ class LaplacianState:
 
         P1, P2, P3 = (np.asarray(self._pinv[m]) for m in _PINV_POWERS)
         u = P1[:, i] - P1[:, j]
-        r1 = float(P1[i, i] + P1[j, j] - 2.0 * P1[i, j])
+        r1 = float(pair_form(P1, i, j))
         c = 1.0 / (1.0 / w + r1)
 
         a = P1 @ u          # = P2 (e_i - e_j)
@@ -156,9 +148,7 @@ class LaplacianState:
 
         L = np.array(self.matrix)
         add_link(L, i, j, w)
-
-        graph = self.graph.with_edge((i, j), w)
-        return LaplacianState(graph, L, {1: Q1, 2: Q2, 3: Q3})
+        return LaplacianState(L, {1: Q1, 2: Q2, 3: Q3})
 
 
 def downdated_inverse_spectrum(state: LaplacianState, edge: Edge, weight: float) -> np.ndarray:
@@ -201,4 +191,4 @@ def build_laplacian(graph: WeightedGraph) -> LaplacianState:
     for m in _PINV_POWERS:
         P = (V * inv ** m) @ V.T
         pinv[m] = (P + P.T) / 2.0
-    return LaplacianState(graph, L, pinv, eigvals=_freeze(vals), eigvecs=_freeze(vecs))
+    return LaplacianState(L, pinv, eigvals=_freeze(vals), eigvecs=_freeze(vecs))

@@ -6,17 +6,19 @@ candidate link set:
 * :func:`brute_force` - exhaustive search over all subsets, each scored by a
   full eigendecomposition (the reference answer on small instances).
 * :func:`greedy` - picks the single best link k times.  For the zeta:q=1,
-  zeta:q=2 and volume measures each candidate is scored in O(1) from cached
-  effective resistances; every other measure is scored from the spectrum of
-  the rank-one-downdated pseudo-inverse.
+  zeta:q=2 and volume measures each candidate is scored in O(1) from its
+  effective resistances, read off the pseudo-inverse powers; every other
+  measure is scored from the spectrum of the rank-one-downdated
+  pseudo-inverse.
 * :func:`linearized` - one gradient of the measure, then the k candidates
   with the largest first-order improvement in a single pass.
 
 All tie-breaking is deterministic.  Greedy and brute force share one rule:
 the pick is the lex-smallest candidate within 1e-12 relative of the minimum
-score (relative to max(1, |minimum|)), and greedy's `tie_breaks` counts the
-other candidates in that band.  The linearized solver breaks equal scores by
-edge order and counts the candidates tied with its k-th pick.
+score (relative to max(1, |minimum|)), and `tie_breaks` counts the other
+candidates (greedy, summed over steps) or subsets (brute force) in that
+band.  The linearized solver breaks equal scores by edge order and counts
+the candidates tied with its k-th pick.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .errors import (CombinatorialBlowup, GraphFormatError, InvalidParameter,
                      UnsupportedMeasure)
 from .graphs import Edge, add_link, canonical_edge
-from .laplacian import LaplacianState, downdated_inverse_spectrum
+from .laplacian import LaplacianState, downdated_inverse_spectrum, pair_form
 from .measures import MeasureSpec, companion_value, evaluate, gradient, spectral_value
 
 TIE_REL = 1e-12
@@ -160,9 +162,9 @@ def closed_form_delta(m: MeasureSpec, state: LaplacianState, edge: Edge, weight:
     form = _CLOSED_FORMS.get(m)
     if form is None:
         raise UnsupportedMeasure(f"no resistance closed form for {m.label}")
-    res = state.edge_resistances(edge)
+    r1, r2, r3 = (state.edge_resistance(edge, q) for q in (1, 2, 3))
     w = float(weight)
-    return float(form.drop(w, 1.0 / (1.0 / w + res.r1), res.r1, res.r2, res.r3))
+    return float(form.drop(w, 1.0 / (1.0 / w + r1), r1, r2, r3))
 
 
 def _initial_value(m: MeasureSpec, state: LaplacianState) -> float:
@@ -172,6 +174,14 @@ def _initial_value(m: MeasureSpec, state: LaplacianState) -> float:
     return float(form.transform(np.trace(state.pinv_power(form.power))))
 
 
+def _link_arrays(links: Iterable[tuple[Edge, float]]) -> tuple[np.ndarray, ...]:
+    """The links as arrays of first nodes, second nodes and weights."""
+    rows = np.fromiter((e[0] for e, _ in links), dtype=int)
+    cols = np.fromiter((e[1] for e, _ in links), dtype=int)
+    ws = np.fromiter((w for _, w in links), dtype=float)
+    return rows, cols, ws
+
+
 def _score_candidates(m: MeasureSpec, state: LaplacianState,
                       links: list[tuple[Edge, float]], current: float) -> np.ndarray:
     """Post-addition measure value for every remaining candidate link."""
@@ -179,10 +189,8 @@ def _score_candidates(m: MeasureSpec, state: LaplacianState,
     if form is None:
         return np.array([companion_value(m, downdated_inverse_spectrum(state, e, w), state.n)
                          for e, w in links])
-    rows = np.fromiter((e[0] for e, _ in links), dtype=int)
-    cols = np.fromiter((e[1] for e, _ in links), dtype=int)
-    ws = np.fromiter((w for _, w in links), dtype=float)
-    r1, r2, r3 = (state.resistance_matrix(q)[rows, cols] for q in (1, 2, 3))
+    rows, cols, ws = _link_arrays(links)
+    r1, r2, r3 = (pair_form(state.pinv_power(q), rows, cols) for q in (1, 2, 3))
     c = 1.0 / (1.0 / ws + r1)
     stat = current if form.power is None else float(np.trace(state.pinv_power(form.power)))
     return form.transform(stat - form.drop(ws, c, r1, r2, r3))
@@ -263,7 +271,7 @@ def brute_force(state: LaplacianState, candidates: CandidateSet, k: int,
     scores = np.fromiter((_subset_value(m, state, subset)
                           for subset in combinations(candidates.links, k)),
                          dtype=float, count=n_subsets)
-    pick, _ = _argmin_lex(scores)
+    pick, ties = _argmin_lex(scores)
     best_subset = next(islice(combinations(candidates.links, k), pick, None))
     search_time = perf_counter() - t0
 
@@ -274,7 +282,7 @@ def brute_force(state: LaplacianState, candidates: CandidateSet, k: int,
         values.append(_subset_value(m, state, best_subset[:step]))
         elapsed.append(perf_counter() - t1 + (search_time if step == 1 else 0.0))
 
-    return SynthesisResult("brute", tuple(best_subset), tuple(values), tuple(elapsed), 0)
+    return SynthesisResult("brute", tuple(best_subset), tuple(values), tuple(elapsed), ties)
 
 
 def linearized(state: LaplacianState, candidates: CandidateSet, k: int,
@@ -288,10 +296,8 @@ def linearized(state: LaplacianState, candidates: CandidateSet, k: int,
     """
     _check_instance(state, candidates, k)
     t0 = perf_counter()
-    G = gradient(m, state)
-    deltas = []
-    for (i, j), w in candidates.links:
-        deltas.append(-w * float(G[i, i] + G[j, j] - 2.0 * G[i, j]))
+    rows, cols, ws = _link_arrays(candidates.links)
+    deltas = (-ws * pair_form(gradient(m, state), rows, cols)).tolist()
     order = sorted(range(candidates.p), key=lambda idx: (-deltas[idx], candidates.links[idx][0]))
     picked = order[:k]
     tie_breaks = 0
@@ -307,7 +313,8 @@ def linearized(state: LaplacianState, candidates: CandidateSet, k: int,
         t1 = perf_counter()
         link = candidates.links[idx]
         values.append(float(_score_candidates(m, cur, [link], values[-1])[0]))
-        cur = cur.with_edge(*link)
+        if step + 1 < k:
+            cur = cur.with_edge(*link)
         elapsed.append(perf_counter() - t1 + (select_time if step == 0 else 0.0))
 
     chosen = tuple(candidates.links[idx] for idx in picked)

@@ -190,6 +190,7 @@ def test_greedy_ties_break_lexicographically():
     assert res.tie_breaks >= 5
     resb = sg.brute_force(s, c, 1, sg.parse_measure("zeta:q=1"))
     assert resb.chosen[0][0] == (0, 1)
+    assert resb.tie_breaks == res.tie_breaks == 5
 
 
 def test_argmin_lex_band_is_relative_to_the_minimum():
@@ -301,6 +302,23 @@ def test_linearized_rejects_nondifferentiable():
     for spec in ("hankel", "zeta:q=inf"):
         with pytest.raises(sg.NonDifferentiableMeasure):
             sg.linearized(s, c, 2, sg.parse_measure(spec))
+
+
+def test_linearized_updates_the_state_only_between_picks(monkeypatch):
+    calls = []
+    with_edge = sg.LaplacianState.with_edge
+
+    def counting(self, edge, weight):
+        calls.append(edge)
+        return with_edge(self, edge, weight)
+
+    monkeypatch.setattr(sg.LaplacianState, "with_edge", counting)
+    s = sg.build_laplacian(path_graph(6))
+    c = sg.CandidateSet.complete(6, weight=0.5)
+    for k, expected in ((1, 0), (3, 2)):
+        calls.clear()
+        sg.linearized(s, c, k, sg.parse_measure("zeta:q=1"))
+        assert len(calls) == expected
 
 
 def test_linearized_trajectory_matches_rebuild():
