@@ -20,9 +20,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .errors import (CombinatorialBlowup, GraphFormatError, InvalidParameter,
-                     NonDifferentiableMeasure, NotConnected, SpecgrowError,
-                     UnsupportedMeasure)
+from .errors import (CombinatorialBlowup, InvalidParameter, NonDifferentiableMeasure,
+                     NotConnected, SpecgrowError, UnsupportedMeasure)
 from .graphs import load_graph
 from .laplacian import build_laplacian
 from .limits import enhancement_table, limit_value
@@ -206,28 +205,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Checked in order, so a subclass maps with its first listed ancestor.
+_EXIT_CODES = (
+    (NotConnected, EXIT_DISCONNECTED),
+    (CombinatorialBlowup, EXIT_CAP),
+    (NonDifferentiableMeasure, EXIT_NONDIFF),
+    ((InvalidParameter, UnsupportedMeasure), EXIT_MEASURE),
+    ((SpecgrowError, OSError), EXIT_PARSE),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NotConnected as exc:
+    except (SpecgrowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISCONNECTED
-    except CombinatorialBlowup as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except NonDifferentiableMeasure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONDIFF
-    except (InvalidParameter, UnsupportedMeasure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MEASURE
-    except (GraphFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SpecgrowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

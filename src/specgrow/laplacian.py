@@ -2,12 +2,11 @@
 effective resistances, and the rank-one augmentation engine.
 
 A :class:`LaplacianState` is an immutable snapshot of a connected graph
-holding only the Laplacian L and the powers of its Moore-Penrose
-pseudo-inverse (m = 1, 2, 3). Effective resistances and the graph itself
-are read off those on demand. Adding a weighted edge produces a new state
-in O(n^2) through a Sherman-Morrison rank-one downdate of the
-pseudo-inverse; eigenvalues of the augmented Laplacian are recomputed
-lazily only when something actually needs the spectrum.
+holding the Laplacian L and the powers of its Moore-Penrose pseudo-inverse
+(m = 1, 2, 3) read so far: each is computed on first read, then carried by
+an O(n^2) Sherman-Morrison downdate when an edge is added. Effective
+resistances, the graph itself and, after a downdate, the eigendecomposition
+are computed lazily, only when something reads them.
 """
 
 from __future__ import annotations
@@ -38,16 +37,16 @@ class LaplacianState:
     """Read-only spectral state of a connected weighted graph.
 
     Construct with :func:`build_laplacian`; grow with :meth:`with_edge`.
-    Stores L and P^1..P^3 only; resistances and :attr:`graph` are derived
-    when asked for. Instances never mutate user-visible data and may be
-    shared freely across threads (the lazy eigendecomposition is an
-    idempotent cache).
+    Stores L and the pseudo-inverse powers read so far; resistances and
+    :attr:`graph` are derived when asked for. Instances never mutate
+    user-visible data and may be shared freely across threads (the lazy
+    eigendecomposition and powers are idempotent caches).
     """
 
-    def __init__(self, matrix: np.ndarray, pinv: dict[int, np.ndarray],
+    def __init__(self, matrix: np.ndarray, pinv: dict[int, np.ndarray] | None = None,
                  eigvals=None, eigvecs=None):
         self.matrix = _freeze(matrix)
-        self._pinv = {m: _freeze(pinv[m]) for m in _PINV_POWERS}
+        self._pinv = {m: _freeze(P) for m, P in (pinv or {}).items()}
         self._eigvals = eigvals
         self._eigvecs = eigvecs
 
@@ -99,9 +98,13 @@ class LaplacianState:
     # --- pseudo-inverse powers and resistances -------------------------
 
     def pinv_power(self, m: int = 1) -> np.ndarray:
-        """The m-th power of the Moore-Penrose pseudo-inverse, m in {1, 2, 3}."""
+        """The pseudo-inverse power P^m, m in {1, 2, 3}, computed on first read."""
         if m not in _PINV_POWERS:
             raise InvalidParameter(f"pseudo-inverse power must be in {_PINV_POWERS}, got {m}")
+        if m not in self._pinv:
+            V = self.eigvecs[:, 1:]
+            P = (V * (1.0 / self.nonzero_eigvals) ** m) @ V.T
+            self._pinv[m] = _freeze((P + P.T) / 2.0)
         return self._pinv[m]
 
     def resistance_matrix(self, m: int = 1) -> np.ndarray:
@@ -118,37 +121,37 @@ class LaplacianState:
     def with_edge(self, edge: Edge, weight: float) -> LaplacianState:
         """State for L + w*L_e, updated in O(n^2) without re-decomposing.
 
-        The pseudo-inverse downdate subtracts the rank-one matrix
-        (w^-1 + r_e(L))^-1 (Li - Lj)(Li - Lj)^T where Li, Lj are columns
-        of the pseudo-inverse; the higher powers follow from expanding
-        (P - c u u^T)^m with matrix-vector products only.
+        With u = P(e_i - e_j) and c = (1/w + r_e(L))^-1, P downdates to
+        P - c u u^T; each power held is carried by one correction
+        P^m - X C X^T with X = [u, Pu, P^2 u][:, :m]. P itself is always held.
         """
         i, j = canonical_edge(*edge)
         w = float(weight)
         if not (w > 0.0):
             raise InvalidParameter(f"edge weight must be positive, got {weight}")
 
-        P1, P2, P3 = (np.asarray(self._pinv[m]) for m in _PINV_POWERS)
+        P1 = np.asarray(self.pinv_power(1))
+        held = dict(self._pinv)  # a snapshot: another thread may add powers
         u = P1[:, i] - P1[:, j]
-        r1 = float(pair_form(P1, i, j))
-        c = 1.0 / (1.0 / w + r1)
-
-        a = P1 @ u          # = P2 (e_i - e_j)
-        b = P1 @ a          # = P3 (e_i - e_j)
-        uu = float(u @ u)   # = r_e(L^2)
-        ua = float(u @ a)   # = r_e(L^3)
-
-        uuT = np.outer(u, u)
-        Q1 = P1 - c * uuT
-        Q2 = P2 - c * (np.outer(a, u) + np.outer(u, a)) + (c * c * uu) * uuT
-        Q3 = (P3
-              - c * (np.outer(b, u) + np.outer(a, a) + np.outer(u, b))
-              + c * c * (uu * (np.outer(a, u) + np.outer(u, a)) + ua * uuT)
-              - (c ** 3) * uu * uu * uuT)
+        c = 1.0 / (1.0 / w + float(pair_form(P1, i, j)))
+        krylov = [u]
+        while len(krylov) < max(held):
+            krylov.append(P1 @ krylov[-1])
+        X = np.array(krylov).T  # column-major: X[:, :m], so Q_m, ignores the other powers
+        # The core is Hankel: C[s, t] = g[m-1-s-t] for s + t < m, else 0, where g[k]
+        # sums the terms with k+1 factors c u u^T; h = r_e(L^2), r_e(L^3), ...
+        h = [float(u @ v) for v in krylov]
+        g = (c, -c * c * h[0], c * c * (c * h[0] * h[0] - h[1]) if len(h) > 1 else 0.0)
+        pinv = {}
+        for m, Pm in held.items():
+            C = np.array([[g[m - 1 - s - t] if s + t < m else 0.0 for t in range(m)]
+                          for s in range(m)])
+            Q = (X[:, :m] @ C) @ X[:, :m].T
+            pinv[m] = np.subtract(Pm, Q, out=Q)
 
         L = np.array(self.matrix)
         add_link(L, i, j, w)
-        return LaplacianState(L, {1: Q1, 2: Q2, 3: Q3})
+        return LaplacianState(L, pinv)
 
 
 def downdated_inverse_spectrum(state: LaplacianState, edge: Edge, weight: float) -> np.ndarray:
@@ -171,24 +174,37 @@ def connectivity_tolerance(eigvals: np.ndarray) -> float:
     return n * np.finfo(float).eps * float(eigvals[-1])
 
 
+def _connected(graph: WeightedGraph) -> bool:
+    """Whether the links join all nodes: union-find, O(n + E), no n x n array."""
+    parent = list(range(graph.n))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
+    merges = 0
+    for i, j in graph.edges:
+        ri, rj = root(i), root(j)
+        merges += ri != rj
+        parent[ri] = rj
+    return merges == graph.n - 1
+
+
 def build_laplacian(graph: WeightedGraph) -> LaplacianState:
-    """Decompose the graph Laplacian and populate the full spectral state.
+    """Decompose the graph Laplacian; pseudo-inverse powers wait for a first read.
 
     Raises:
-        NotConnected: if the second-smallest eigenvalue does not clear the
-            scale-aware zero threshold.
+        NotConnected: if the links leave more than one component (checked
+            before any n x n allocation), or if the second-smallest
+            eigenvalue does not clear the scale-aware zero threshold.
     """
+    if not _connected(graph):
+        raise NotConnected(f"{len(graph.edges)} links leave the {graph.n} nodes disconnected")
     L = graph.laplacian()
     vals, vecs = np.linalg.eigh(L)
     tol = connectivity_tolerance(vals)
     if vals[1] <= tol:
         raise NotConnected(f"algebraic connectivity {vals[1]:.3e} below tolerance {tol:.3e}")
     vals[0] = 0.0
-
-    V = vecs[:, 1:]
-    inv = 1.0 / vals[1:]
-    pinv = {}
-    for m in _PINV_POWERS:
-        P = (V * inv ** m) @ V.T
-        pinv[m] = (P + P.T) / 2.0
-    return LaplacianState(L, pinv, eigvals=_freeze(vals), eigvecs=_freeze(vecs))
+    return LaplacianState(L, eigvals=_freeze(vals), eigvecs=_freeze(vecs))

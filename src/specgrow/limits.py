@@ -10,7 +10,7 @@ the original network, so they can be tabulated before running any solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,14 +26,19 @@ def limit_value(m: MeasureSpec, n: int) -> float:
     return spectral_value(m, np.full(n - 1, math.inf), n)
 
 
-def lower_bound(state: LaplacianState, m: MeasureSpec, k: int) -> float:
-    """No choice of k weighted links can reach below this value."""
+def _slots_at_inf(state: LaplacianState, m: MeasureSpec, k: int, smallest: bool) -> float:
+    """Measure value with the k smallest (or largest) eigenvalues pushed to infinity."""
     if k < 1:
         raise InvalidParameter(f"k must be at least 1, got {k}")
     lams = state.nonzero_eigvals
-    kept = lams[min(k, lams.size):]
-    spectrum = np.concatenate([kept, np.full(lams.size - kept.size, math.inf)])
-    return spectral_value(m, spectrum, state.n)
+    k = min(k, lams.size)
+    kept = lams[k:] if smallest else lams[:lams.size - k]
+    return spectral_value(m, np.concatenate([kept, np.full(k, math.inf)]), state.n)
+
+
+def lower_bound(state: LaplacianState, m: MeasureSpec, k: int) -> float:
+    """No choice of k weighted links can reach below this value."""
+    return _slots_at_inf(state, m, k, smallest=True)
 
 
 def upper_bound_complete(state: LaplacianState, m: MeasureSpec, k: int) -> float:
@@ -43,12 +48,7 @@ def upper_bound_complete(state: LaplacianState, m: MeasureSpec, k: int) -> float
     threshold, which the caller is responsible for; the bound itself only
     needs the spectrum.
     """
-    if k < 1:
-        raise InvalidParameter(f"k must be at least 1, got {k}")
-    lams = state.nonzero_eigvals
-    kept = lams[:max(lams.size - k, 0)]
-    spectrum = np.concatenate([kept, np.full(lams.size - kept.size, math.inf)])
-    return spectral_value(m, spectrum, state.n)
+    return _slots_at_inf(state, m, k, smallest=False)
 
 
 def max_single_link_gain(state: LaplacianState, edge: Edge, m: MeasureSpec) -> float:
@@ -83,8 +83,7 @@ class BoundsReport:
     limit: float
 
     def to_json_obj(self) -> dict:
-        return {"k": self.k, "lower": self.lower, "upper": self.upper,
-                "pi_percent": self.pi_percent, "limit": self.limit}
+        return asdict(self)
 
 
 def bounds_report(state: LaplacianState, m: MeasureSpec, k: int,

@@ -11,7 +11,7 @@ always reproduces the same estimate bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,19 +61,7 @@ class ValidationReport:
     trials: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "measure": self.measure,
-            "closed_form": self.closed_form,
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "z_score": self.z_score,
-            "effect_size": self.effect_size,
-            "passed": self.passed,
-            "t": self.t,
-            "seed": self.seed,
-            "dt": self.dt,
-            "trials": self.trials,
-        }
+        return asdict(self)
 
 
 def stable_step_bound(state: LaplacianState) -> float:

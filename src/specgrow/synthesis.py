@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, islice
 from time import perf_counter
 from typing import Callable, Iterable, NamedTuple
@@ -136,20 +137,26 @@ class SynthesisResult:
 
 class _ClosedForm(NamedTuple):
     power: int | None    # the statistic is tr P^power; None carries the value itself
-    drop: Callable       # (w, c, r1, r2, r3) -> decrease of the statistic
+    drop: Callable       # (w, c, r) -> decrease of the statistic
     transform: Callable  # statistic -> measure value
 
 
 # Measures whose post-addition value follows in O(1) from the effective
-# resistances r_q of the link under P^q, with c = (1/w + r1)^-1.
+# resistances r(q) of the link under P^q, with c = (1/w + r(1))^-1.  Each
+# drop reads only the powers it names, so only those are ever computed.
 _CLOSED_FORMS = {
-    MeasureSpec("zeta", 1.0): _ClosedForm(1, lambda w, c, r1, r2, r3: c * r2, lambda s: s),
+    MeasureSpec("zeta", 1.0): _ClosedForm(1, lambda w, c, r: c * r(2), lambda s: s),
     MeasureSpec("zeta", 2.0): _ClosedForm(
-        2, lambda w, c, r1, r2, r3: 2.0 * c * r3 - (c * r2) ** 2,
+        2, lambda w, c, r: 2.0 * c * r(3) - (c * r(2)) ** 2,
         lambda s: np.sqrt(np.maximum(s, 0.0))),
-    MeasureSpec("volume"): _ClosedForm(None, lambda w, c, r1, r2, r3: np.log1p(r1 * w),
-                                       lambda s: s),
+    MeasureSpec("volume"): _ClosedForm(None, lambda w, c, r: np.log1p(r(1) * w), lambda s: s),
 }
+
+
+def _drop(form: _ClosedForm, state: LaplacianState, rows, cols, ws):
+    """Decrease of the form's statistic for the links (rows, cols) at weights ws."""
+    r = cache(lambda q: pair_form(state.pinv_power(q), rows, cols))
+    return form.drop(ws, 1.0 / (1.0 / ws + r(1)), r)
 
 
 def closed_form_delta(m: MeasureSpec, state: LaplacianState, edge: Edge, weight: float) -> float:
@@ -162,9 +169,8 @@ def closed_form_delta(m: MeasureSpec, state: LaplacianState, edge: Edge, weight:
     form = _CLOSED_FORMS.get(m)
     if form is None:
         raise UnsupportedMeasure(f"no resistance closed form for {m.label}")
-    r1, r2, r3 = (state.edge_resistance(edge, q) for q in (1, 2, 3))
-    w = float(weight)
-    return float(form.drop(w, 1.0 / (1.0 / w + r1), r1, r2, r3))
+    i, j = canonical_edge(*edge)
+    return float(_drop(form, state, i, j, float(weight)))
 
 
 def _initial_value(m: MeasureSpec, state: LaplacianState) -> float:
@@ -189,11 +195,8 @@ def _score_candidates(m: MeasureSpec, state: LaplacianState,
     if form is None:
         return np.array([companion_value(m, downdated_inverse_spectrum(state, e, w), state.n)
                          for e, w in links])
-    rows, cols, ws = _link_arrays(links)
-    r1, r2, r3 = (pair_form(state.pinv_power(q), rows, cols) for q in (1, 2, 3))
-    c = 1.0 / (1.0 / ws + r1)
     stat = current if form.power is None else float(np.trace(state.pinv_power(form.power)))
-    return form.transform(stat - form.drop(ws, c, r1, r2, r3))
+    return form.transform(stat - _drop(form, state, *_link_arrays(links)))
 
 
 def _argmin_lex(scores) -> tuple[int, int]:

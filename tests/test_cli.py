@@ -53,6 +53,10 @@ def test_exit_codes(tmp_path, k3_file):
     disc = tmp_path / "disc.json"
     disc.write_text(DISCONNECTED_JSON)
     assert run_cli("measure", str(disc), "--measure", "zeta:q=1").returncode == 3
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": 1_000_000, "edges": []}))
+    out = run_cli("measure", str(huge), "--measure", "zeta:q=1")
+    assert out.returncode == 3 and "Traceback" not in out.stderr
 
     assert run_cli("measure", k3_file, "--measure", "zeta:q=0.2").returncode == 4
     assert run_cli("measure", k3_file, "--measure", "bogus").returncode == 4

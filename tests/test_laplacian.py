@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import specgrow as sg
-from util import graph, k3, path_graph, random_connected, two_node
+from util import (graph, k3, kind_suite, path_graph, random_candidates,
+                  random_connected, two_node)
 
 
 def bordered_inverse_pinv(L):
@@ -144,6 +145,8 @@ def test_rank_one_chain_matches_rebuild():
     for trial in range(6):
         n = int(rng.integers(10, 51))
         s = sg.build_laplacian(random_connected(rng, n))
+        for m in (1, 2, 3):
+            s.pinv_power(m)  # held at the root, so the chain downdates all three
         cur = s
         for _ in range(10):
             i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
@@ -156,6 +159,60 @@ def test_rank_one_chain_matches_rebuild():
             r_err = np.abs(cur.resistance_matrix(m) - ref.resistance_matrix(m)).max()
             assert r_err <= 1e-8 * max(scale, 1.0)
         assert np.allclose(cur.matrix, ref.matrix, atol=1e-12)
+
+
+def test_powers_are_computed_on_first_read_and_carried(monkeypatch):
+    """Counts eigendecompositions and the products that form a power from them."""
+    counts = {"eigh": 0, "products": 0}
+
+    class CountingVecs(np.ndarray):
+        def __matmul__(self, other):
+            counts["products"] += 1
+            return np.asarray(self) @ np.asarray(other)
+
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        counts["eigh"] += 1
+        vals, vecs = eigh(a)
+        return vals, vecs.view(CountingVecs)
+
+    held = []
+    with_edge = sg.LaplacianState.with_edge
+
+    def recording(self, edge, weight):
+        out = with_edge(self, edge, weight)
+        held.append(sorted(out._pinv))
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(sg.LaplacianState, "with_edge", recording)
+    rng = np.random.default_rng(89)
+    g = random_connected(rng, 30)
+    cands = random_candidates(rng, 30, 40)
+
+    s = sg.build_laplacian(g)
+    for m in kind_suite(s):
+        sg.evaluate(m, s)
+    assert counts == {"eigh": 1, "products": 0}
+
+    for spec, powers in (("volume", [1]), ("zeta:q=1", [1, 2])):
+        counts.update(eigh=0, products=0)
+        held.clear()
+        sg.greedy(sg.build_laplacian(g), cands, 6, sg.parse_measure(spec))
+        assert counts == {"eigh": 1, "products": len(powers)}, spec
+        assert held == [powers] * 6, spec
+
+    counts.update(eigh=0, products=0)
+    cur = sg.build_laplacian(g)
+    for m in (1, 2, 3):
+        cur.pinv_power(m)
+    for (i, j), w in cands.links[:5]:
+        cur = cur.with_edge((i, j), w)
+    for m in (1, 2, 3):
+        cur.pinv_power(m)
+    assert counts == {"eigh": 1, "products": 3}
+    assert held[-1] == [1, 2, 3]
 
 
 def test_rank_one_lazy_spectrum_consistency():

@@ -321,6 +321,22 @@ def test_linearized_updates_the_state_only_between_picks(monkeypatch):
         assert len(calls) == expected
 
 
+def test_greedy_does_not_depend_on_powers_read_earlier():
+    """A root that zeta:q=2 left holding P1-P3 gives the same runs as a fresh one."""
+    rng = np.random.default_rng(97)
+    g = random_connected(rng, 40)
+    cands = random_candidates(rng, 40, 60)
+    shared = sg.build_laplacian(g)
+    sg.greedy(shared, cands, 8, sg.parse_measure("zeta:q=2"))
+    for spec in ("volume", "zeta:q=1"):
+        m = sg.parse_measure(spec)
+        after = sg.greedy(shared, cands, 8, m)
+        fresh = sg.greedy(sg.build_laplacian(g), cands, 8, m)
+        assert after.chosen == fresh.chosen, spec
+        assert after.values == fresh.values, spec
+        assert after.tie_breaks == fresh.tie_breaks, spec
+
+
 def test_linearized_trajectory_matches_rebuild():
     rng = np.random.default_rng(131)
     g = random_connected(rng, 12)
