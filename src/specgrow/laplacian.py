@@ -3,10 +3,12 @@ effective resistances, and the rank-one augmentation engine.
 
 A :class:`LaplacianState` is an immutable snapshot of a connected graph
 holding the Laplacian L and the powers of its Moore-Penrose pseudo-inverse
-(m = 1, 2, 3) read so far: each is computed on first read, then carried by
-an O(n^2) Sherman-Morrison downdate when an edge is added. Effective
-resistances, the graph itself and, after a downdate, the eigendecomposition
-are computed lazily, only when something reads them.
+(m = 1, 2, 3) read so far, each computed on first read.  Adding an edge
+carries P^1..P^top, where the caller names top, by an O(n^2)
+Sherman-Morrison downdate; any other power of the grown state is computed
+from a fresh eigendecomposition when it is read.  Effective resistances, the
+graph itself and, after a downdate, the eigendecomposition are computed
+lazily, only when something reads them.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class LaplacianState:
     """Read-only spectral state of a connected weighted graph.
 
-    Construct with :func:`build_laplacian`; grow with :meth:`with_edge`.
-    Stores L and the pseudo-inverse powers read so far; resistances and
-    :attr:`graph` are derived when asked for. Instances never mutate
-    user-visible data and may be shared freely across threads (the lazy
-    eigendecomposition and powers are idempotent caches).
+    Construct with :func:`build_laplacian`; grow with :meth:`with_edge`,
+    which carries P^1..P^top.  Stores L and the pseudo-inverse powers read
+    so far; resistances and :attr:`graph` are derived when asked for.
+    Instances never mutate user-visible data and may be shared freely across
+    threads (the lazy eigendecomposition and powers are idempotent caches).
     """
 
     def __init__(self, matrix: np.ndarray, pinv: dict[int, np.ndarray] | None = None,
@@ -118,24 +120,26 @@ class LaplacianState:
 
     # --- rank-one growth ------------------------------------------------
 
-    def with_edge(self, edge: Edge, weight: float) -> LaplacianState:
-        """State for L + w*L_e, updated in O(n^2) without re-decomposing.
+    def with_edge(self, edge: Edge, weight: float, top: int = 1) -> LaplacianState:
+        """State for L + w*L_e carrying P^1..P^top, updated in O(n^2) per power.
 
         With u = P(e_i - e_j) and c = (1/w + r_e(L))^-1, P downdates to
-        P - c u u^T; each power held is carried by one correction
-        P^m - X C X^T with X = [u, Pu, P^2 u][:, :m]. P itself is always held.
+        P - c u u^T; each power m <= top is read here (computed if this state
+        does not hold it) and carried by one correction P^m - X C X^T with
+        X = [u, Pu, P^2 u][:, :m].  The new state holds no other power.
         """
         i, j = canonical_edge(*edge)
         w = float(weight)
         if not (w > 0.0):
             raise InvalidParameter(f"edge weight must be positive, got {weight}")
+        if top not in _PINV_POWERS:
+            raise InvalidParameter(f"top power must be in {_PINV_POWERS}, got {top}")
 
         P1 = np.asarray(self.pinv_power(1))
-        held = dict(self._pinv)  # a snapshot: another thread may add powers
         u = P1[:, i] - P1[:, j]
         c = 1.0 / (1.0 / w + float(pair_form(P1, i, j)))
         krylov = [u]
-        while len(krylov) < max(held):
+        while len(krylov) < top:
             krylov.append(P1 @ krylov[-1])
         X = np.array(krylov).T  # column-major: X[:, :m], so Q_m, ignores the other powers
         # The core is Hankel: C[s, t] = g[m-1-s-t] for s + t < m, else 0, where g[k]
@@ -143,11 +147,11 @@ class LaplacianState:
         h = [float(u @ v) for v in krylov]
         g = (c, -c * c * h[0], c * c * (c * h[0] * h[0] - h[1]) if len(h) > 1 else 0.0)
         pinv = {}
-        for m, Pm in held.items():
+        for m in range(1, top + 1):
             C = np.array([[g[m - 1 - s - t] if s + t < m else 0.0 for t in range(m)]
                           for s in range(m)])
             Q = (X[:, :m] @ C) @ X[:, :m].T
-            pinv[m] = np.subtract(Pm, Q, out=Q)
+            pinv[m] = np.subtract(self.pinv_power(m), Q, out=Q)
 
         L = np.array(self.matrix)
         add_link(L, i, j, w)

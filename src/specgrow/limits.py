@@ -67,11 +67,6 @@ def max_single_link_gain(state: LaplacianState, edge: Edge, m: MeasureSpec) -> f
     return float(gain)
 
 
-def zeta2_squared_gain_limit(state: LaplacianState, edge: Edge) -> float:
-    """Infinite-weight ceiling of the squared-scale zeta:q=2 decrease."""
-    return closed_form_delta(MeasureSpec("zeta", 2.0), state, edge, math.inf)
-
-
 @dataclass(frozen=True)
 class BoundsReport:
     """Lower/upper bounds for one k, with the enhancement percentage."""
@@ -127,11 +122,6 @@ def min_links_for_target(state: LaplacianState, m: MeasureSpec,
             return k
     raise InvalidParameter(
         f"target {target_percent}% exceeds the k = n-1 ceiling of {table[-1][2]:.4f}%")
-
-
-def spanning_tree_limit(state: LaplacianState, m: MeasureSpec) -> float:
-    """Value approached by adding n-1 spanning-tree links of growing weight."""
-    return limit_value(m, state.n)
 
 
 def star_tree_sweep(state: LaplacianState, m: MeasureSpec,

@@ -33,7 +33,7 @@ from .errors import (AxiomViolation, InvalidParameter, MeasureSpecError,
 from .graphs import WeightedGraph
 from .graphs import meet as graph_meet
 from .graphs import union as graph_union
-from .laplacian import LaplacianState, connectivity_tolerance
+from .laplacian import LaplacianState, connectivity_tolerance, pair_form
 
 KINDS = ("zeta", "gamma", "tau", "hankel", "volume", "hp", "mq")
 SUPERMODULAR_KINDS = ("volume", "mq")
@@ -234,9 +234,7 @@ def gradient(m: MeasureSpec, state: LaplacianState) -> np.ndarray:
 def directional_derivative(m: MeasureSpec, state: LaplacianState,
                            edge, weight: float) -> float:
     """tr(grad * w L_e): first-order change when adding the weighted edge."""
-    G = gradient(m, state)
-    i, j = edge
-    return float(weight) * float(G[i, i] + G[j, j] - G[i, j] - G[j, i])
+    return float(weight * pair_form(gradient(m, state), *edge))
 
 
 # --- axiom and supermodularity checkers --------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations, islice
 from time import perf_counter
 from typing import Callable, Iterable, NamedTuple
@@ -137,26 +136,34 @@ class SynthesisResult:
 
 class _ClosedForm(NamedTuple):
     power: int | None    # the statistic is tr P^power; None carries the value itself
+    top: int             # the highest power P^top whose resistances the drop reads
     drop: Callable       # (w, c, r) -> decrease of the statistic
     transform: Callable  # statistic -> measure value
 
 
 # Measures whose post-addition value follows in O(1) from the effective
-# resistances r(q) of the link under P^q, with c = (1/w + r(1))^-1.  Each
-# drop reads only the powers it names, so only those are ever computed.
+# resistances r[q] of the link under P^q, q = 1..top, with
+# c = (1/w + r[1])^-1.  A grown state carries only P^1..P^top.
 _CLOSED_FORMS = {
-    MeasureSpec("zeta", 1.0): _ClosedForm(1, lambda w, c, r: c * r(2), lambda s: s),
+    MeasureSpec("zeta", 1.0): _ClosedForm(1, 2, lambda w, c, r: c * r[2], lambda s: s),
     MeasureSpec("zeta", 2.0): _ClosedForm(
-        2, lambda w, c, r: 2.0 * c * r(3) - (c * r(2)) ** 2,
+        2, 3, lambda w, c, r: 2.0 * c * r[3] - (c * r[2]) ** 2,
         lambda s: np.sqrt(np.maximum(s, 0.0))),
-    MeasureSpec("volume"): _ClosedForm(None, lambda w, c, r: np.log1p(r(1) * w), lambda s: s),
+    MeasureSpec("volume"): _ClosedForm(None, 1, lambda w, c, r: np.log1p(r[1] * w),
+                                       lambda s: s),
 }
+
+
+def _top(m: MeasureSpec) -> int:
+    """Highest pseudo-inverse power scoring m reads; spectral scoring reads P^1."""
+    form = _CLOSED_FORMS.get(m)
+    return 1 if form is None else form.top
 
 
 def _drop(form: _ClosedForm, state: LaplacianState, rows, cols, ws):
     """Decrease of the form's statistic for the links (rows, cols) at weights ws."""
-    r = cache(lambda q: pair_form(state.pinv_power(q), rows, cols))
-    return form.drop(ws, 1.0 / (1.0 / ws + r(1)), r)
+    r = {q: pair_form(state.pinv_power(q), rows, cols) for q in range(1, form.top + 1)}
+    return form.drop(ws, 1.0 / (1.0 / ws + r[1]), r)
 
 
 def closed_form_delta(m: MeasureSpec, state: LaplacianState, edge: Edge, weight: float) -> float:
@@ -227,6 +234,7 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
     chosen: list[tuple[Edge, float]] = []
     elapsed: list[float] = []
     tie_breaks = 0
+    top = _top(m)
 
     for _ in range(k):
         t0 = perf_counter()
@@ -235,18 +243,11 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
         tie_breaks += ties
         edge, w = remaining.pop(pick)
         chosen.append((edge, w))
-        state = state.with_edge(edge, w)
+        state = state.with_edge(edge, w, top)
         values.append(float(scores[pick]))
         elapsed.append(perf_counter() - t0)
 
     return SynthesisResult("greedy", tuple(chosen), tuple(values), tuple(elapsed), tie_breaks)
-
-
-def best_single_link(state: LaplacianState, candidates: CandidateSet,
-                     m: MeasureSpec) -> tuple[Edge, float]:
-    """The exact best single link and the measure value after adding it."""
-    result = greedy(state, candidates, 1, m)
-    return result.chosen[0][0], result.values[1]
 
 
 def _subset_value(m: MeasureSpec, state: LaplacianState,
@@ -317,7 +318,7 @@ def linearized(state: LaplacianState, candidates: CandidateSet, k: int,
         link = candidates.links[idx]
         values.append(float(_score_candidates(m, cur, [link], values[-1])[0]))
         if step + 1 < k:
-            cur = cur.with_edge(*link)
+            cur = cur.with_edge(*link, _top(m))
         elapsed.append(perf_counter() - t1 + (select_time if step == 0 else 0.0))
 
     chosen = tuple(candidates.links[idx] for idx in picked)

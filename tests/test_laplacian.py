@@ -138,19 +138,21 @@ def test_rank_one_zero_weight_limit():
         s.with_edge((0, 1), 0.0)
     with pytest.raises(sg.InvalidParameter):
         s.with_edge((0, 1), -1.0)
+    for top in (0, 4):
+        with pytest.raises(sg.InvalidParameter):
+            s.with_edge((0, 1), 1.0, top)
 
 
 def test_rank_one_chain_matches_rebuild():
     rng = np.random.default_rng(31)
     for trial in range(6):
         n = int(rng.integers(10, 51))
-        s = sg.build_laplacian(random_connected(rng, n))
-        for m in (1, 2, 3):
-            s.pinv_power(m)  # held at the root, so the chain downdates all three
-        cur = s
+        cur = sg.build_laplacian(random_connected(rng, n))
         for _ in range(10):
             i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
-            cur = cur.with_edge((i, j), float(rng.uniform(0.1, 5.0)))
+            # top=3 carries all three powers; with fewer, the grown state would
+            # compute the rest from a fresh eigh and the test would check nothing
+            cur = cur.with_edge((i, j), float(rng.uniform(0.1, 5.0)), top=3)
         ref = sg.build_laplacian(cur.graph)
         scale = np.linalg.norm(ref.pinv_power(1))
         for m in (1, 2, 3):
@@ -180,8 +182,8 @@ def test_powers_are_computed_on_first_read_and_carried(monkeypatch):
     held = []
     with_edge = sg.LaplacianState.with_edge
 
-    def recording(self, edge, weight):
-        out = with_edge(self, edge, weight)
+    def recording(self, edge, weight, top=1):
+        out = with_edge(self, edge, weight, top)
         held.append(sorted(out._pinv))
         return out
 
@@ -205,10 +207,8 @@ def test_powers_are_computed_on_first_read_and_carried(monkeypatch):
 
     counts.update(eigh=0, products=0)
     cur = sg.build_laplacian(g)
-    for m in (1, 2, 3):
-        cur.pinv_power(m)
     for (i, j), w in cands.links[:5]:
-        cur = cur.with_edge((i, j), w)
+        cur = cur.with_edge((i, j), w, top=3)
     for m in (1, 2, 3):
         cur.pinv_power(m)
     assert counts == {"eigh": 1, "products": 3}

@@ -119,7 +119,7 @@ def test_zeta2_squared_gain_limit_matches_recompute():
         g = random_connected(rng, n)
         s = sg.build_laplacian(g)
         i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
-        limit = sg.zeta2_squared_gain_limit(s, (i, j))
+        limit = sg.closed_form_delta(sg.parse_measure("zeta:q=2"), s, (i, j), math.inf)
         sq_old = float(np.sum(np.asarray(s.nonzero_eigvals) ** -2.0))
         g_heavy = g.with_edge((i, j), 1e8)
         sq_new = float(np.sum(np.linalg.eigvalsh(g_heavy.laplacian())[1:] ** -2.0))
@@ -171,11 +171,11 @@ def test_min_links_for_target():
 def test_spanning_tree_limit_values():
     rng = np.random.default_rng(191)
     s = sg.build_laplacian(random_connected(rng, 6))
-    assert sg.spanning_tree_limit(s, sg.parse_measure("zeta:q=1")) == 0.0
-    assert sg.spanning_tree_limit(s, sg.parse_measure("tau:t=2")) == 0.0
-    assert sg.spanning_tree_limit(s, sg.parse_measure("volume")) == -math.inf
-    assert sg.spanning_tree_limit(s, sg.parse_measure("mq:q=0.5")) == -math.inf
-    assert sg.spanning_tree_limit(s, sg.parse_measure("hankel")) == 0.0
+    assert sg.limit_value(sg.parse_measure("zeta:q=1"), s.n) == 0.0
+    assert sg.limit_value(sg.parse_measure("tau:t=2"), s.n) == 0.0
+    assert sg.limit_value(sg.parse_measure("volume"), s.n) == -math.inf
+    assert sg.limit_value(sg.parse_measure("mq:q=0.5"), s.n) == -math.inf
+    assert sg.limit_value(sg.parse_measure("hankel"), s.n) == 0.0
 
 
 def test_star_tree_sweep_converges():
@@ -184,7 +184,7 @@ def test_star_tree_sweep_converges():
     values = sg.star_tree_sweep(s, m, scales=(1e1, 1e2, 1e3, 1e4))
     assert all(b < a for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-3
-    limit = sg.spanning_tree_limit(s, m)
+    limit = sg.limit_value(m, s.n)
     assert abs(values[-1] - limit) < 1e-3
 
 

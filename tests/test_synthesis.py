@@ -85,9 +85,9 @@ def test_two_node_single_candidate_value():
     # zeta:q=1 drops from 1/2 to 1/4 when doubling the only edge
     s = sg.build_laplacian(two_node())
     c = sg.CandidateSet.from_triples([(0, 1, 1.0)])
-    edge, value = sg.best_single_link(s, c, sg.parse_measure("zeta:q=1"))
-    assert edge == (0, 1)
-    assert value == pytest.approx(0.25, abs=1e-12)
+    res = sg.greedy(s, c, 1, sg.parse_measure("zeta:q=1"))
+    assert res.chosen[0][0] == (0, 1)
+    assert res.values[1] == pytest.approx(0.25, abs=1e-12)
 
 
 # --- brute force -----------------------------------------------------------------
@@ -131,9 +131,9 @@ def test_brute_force_k1_equals_best_single_link():
     c = random_candidates(rng, 8, 6)
     for m in kind_suite(s):
         res = sg.brute_force(s, c, 1, m)
-        edge, value = sg.best_single_link(s, c, m)
-        assert res.chosen[0][0] == edge, m.label
-        assert value == pytest.approx(res.final_value, rel=1e-9, abs=1e-12)
+        best = sg.greedy(s, c, 1, m)
+        assert res.chosen[0][0] == best.chosen[0][0], m.label
+        assert best.values[1] == pytest.approx(res.final_value, rel=1e-9, abs=1e-12)
 
 
 # --- greedy ----------------------------------------------------------------------
@@ -174,11 +174,11 @@ def test_greedy_selection_rules_zeta1_and_volume():
     c = random_candidates(rng, 12, 9)
     scores_z1 = {e: s.edge_resistance(e, 2) / (1.0 / w + s.edge_resistance(e, 1))
                  for e, w in c.links}
-    edge, _ = sg.best_single_link(s, c, sg.parse_measure("zeta:q=1"))
-    assert edge == max(sorted(scores_z1), key=lambda e: scores_z1[e])
+    res = sg.greedy(s, c, 1, sg.parse_measure("zeta:q=1"))
+    assert res.chosen[0][0] == max(sorted(scores_z1), key=lambda e: scores_z1[e])
     scores_v = {e: math.log1p(s.edge_resistance(e) * w) for e, w in c.links}
-    edge, _ = sg.best_single_link(s, c, sg.parse_measure("volume"))
-    assert edge == max(sorted(scores_v), key=lambda e: scores_v[e])
+    res = sg.greedy(s, c, 1, sg.parse_measure("volume"))
+    assert res.chosen[0][0] == max(sorted(scores_v), key=lambda e: scores_v[e])
 
 
 def test_greedy_ties_break_lexicographically():
@@ -308,9 +308,9 @@ def test_linearized_updates_the_state_only_between_picks(monkeypatch):
     calls = []
     with_edge = sg.LaplacianState.with_edge
 
-    def counting(self, edge, weight):
+    def counting(self, edge, weight, top=1):
         calls.append(edge)
-        return with_edge(self, edge, weight)
+        return with_edge(self, edge, weight, top)
 
     monkeypatch.setattr(sg.LaplacianState, "with_edge", counting)
     s = sg.build_laplacian(path_graph(6))
@@ -321,16 +321,32 @@ def test_linearized_updates_the_state_only_between_picks(monkeypatch):
         assert len(calls) == expected
 
 
-def test_greedy_does_not_depend_on_powers_read_earlier():
-    """A root that zeta:q=2 left holding P1-P3 gives the same runs as a fresh one."""
+def test_greedy_does_not_depend_on_powers_read_earlier(monkeypatch):
+    """A root that zeta:q=2 left holding P1-P3 gives the same runs as a fresh one,
+    and its grown states carry only the powers each measure reads."""
+    held = []
+    with_edge = sg.LaplacianState.with_edge
+
+    def recording(self, *args):
+        out = with_edge(self, *args)
+        held.append(sorted(out._pinv))
+        return out
+
     rng = np.random.default_rng(97)
     g = random_connected(rng, 40)
     cands = random_candidates(rng, 40, 60)
     shared = sg.build_laplacian(g)
     sg.greedy(shared, cands, 8, sg.parse_measure("zeta:q=2"))
-    for spec in ("volume", "zeta:q=1"):
+    assert sorted(shared._pinv) == [1, 2, 3]
+    monkeypatch.setattr(sg.LaplacianState, "with_edge", recording)
+    for spec, powers in (("volume", [1]), ("zeta:q=1", [1, 2]), ("tau:t=1", [1])):
         m = sg.parse_measure(spec)
+        held.clear()
         after = sg.greedy(shared, cands, 8, m)
+        assert held == [powers] * 8, spec
+        held.clear()
+        sg.linearized(shared, cands, 8, m)
+        assert held == [powers] * 7, spec
         fresh = sg.greedy(sg.build_laplacian(g), cands, 8, m)
         assert after.chosen == fresh.chosen, spec
         assert after.values == fresh.values, spec
@@ -389,9 +405,9 @@ def test_optimal_single_link_location_tracks_weight():
         flat = np.argmax(score[iu])
         return (int(iu[0][flat]), int(iu[1][flat]))
 
-    edge_small, _ = sg.best_single_link(s, sg.CandidateSet.complete(50, 1e-8), m)
+    edge_small = sg.greedy(s, sg.CandidateSet.complete(50, 1e-8), 1, m).chosen[0][0]
     assert edge_small == argmax_pairs(R2)
-    edge_large, _ = sg.best_single_link(s, sg.CandidateSet.complete(50, 1e6), m)
+    edge_large = sg.greedy(s, sg.CandidateSet.complete(50, 1e6), 1, m).chosen[0][0]
     with np.errstate(invalid="ignore"):
         ratio = np.where(R1 > 0, R2 / np.where(R1 > 0, R1, 1.0), -np.inf)
     assert edge_large == argmax_pairs(ratio)
