@@ -18,7 +18,6 @@ from .errors import InvalidParameter, UnsupportedMeasure
 from .graphs import Edge, WeightedGraph
 from .laplacian import LaplacianState, downdated_inverse_spectrum
 from .measures import MeasureSpec, companion_value, evaluate, spectral_value
-from .synthesis import closed_form_delta
 
 
 def limit_value(m: MeasureSpec, n: int) -> float:
@@ -57,8 +56,6 @@ def max_single_link_gain(state: LaplacianState, edge: Edge, m: MeasureSpec) -> f
     This is the infinite-weight limit; for the volume and mq measures it
     is +inf (one link can improve them without bound).
     """
-    if m.kind == "zeta" and m.param == 1.0:
-        return closed_form_delta(m, state, edge, math.inf)
     mus = downdated_inverse_spectrum(state, edge, math.inf)
     # The infinite-weight downdate loses one more rank; snap the noise-level
     # eigenvalue to an exact zero so per-measure limits (e.g. -inf) apply.
@@ -99,7 +96,7 @@ def enhancement_table(state: LaplacianState, m: MeasureSpec,
     Defined only for measures whose starting value is finite and positive;
     the volume and mq measures (bound -inf) are rejected.
     """
-    if m.kind in ("volume", "mq"):
+    if m.supermodular:
         raise UnsupportedMeasure(f"enhancement percentage undefined for {m.label}")
     rho0 = evaluate(m, state)
     if not (math.isfinite(rho0) and rho0 > 0.0):

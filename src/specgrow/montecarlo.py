@@ -19,8 +19,6 @@ from .errors import InvalidParameter, UnstableStepSize, UnsupportedMeasure
 from .laplacian import LaplacianState
 from .measures import MeasureSpec, evaluate
 
-SCHEME = "euler-maruyama"
-
 # Time at which exp(-2 lam_2 t) has decayed past any tolerance we test at.
 STATIONARY_HORIZON = 20.0
 
@@ -33,7 +31,6 @@ class SimConfig:
     t_final: float
     trials: int
     seed: int
-    scheme: str = SCHEME
 
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
@@ -42,8 +39,6 @@ class SimConfig:
             raise InvalidParameter(f"horizon must be positive, got {self.t_final}")
         if self.trials < 100:
             raise InvalidParameter(f"need at least 100 trials, got {self.trials}")
-        if self.scheme != SCHEME:
-            raise InvalidParameter(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ All tie-breaking is deterministic.  Greedy and brute force share one rule:
 the pick is the lex-smallest candidate within 1e-12 relative of the minimum
 score (relative to max(1, |minimum|)), and `tie_breaks` counts the other
 candidates (greedy, summed over steps) or subsets (brute force) in that
-band.  The linearized solver breaks equal scores by edge order and counts
-the candidates tied with its k-th pick.
+band.  The linearized solver breaks equal first-order changes by edge order
+and counts, with the same band, the unpicked candidates tied with its k-th
+pick.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ from .laplacian import LaplacianState, downdated_inverse_spectrum, pair_form
 from .measures import MeasureSpec, companion_value, evaluate, gradient, spectral_value
 
 TIE_REL = 1e-12
-
-
-def _tie(a: float, b: float) -> bool:
-    return abs(a - b) <= TIE_REL * max(1.0, abs(a))
 
 
 @dataclass(frozen=True)
@@ -195,15 +192,16 @@ def _link_arrays(links: Iterable[tuple[Edge, float]]) -> tuple[np.ndarray, ...]:
     return rows, cols, ws
 
 
-def _score_candidates(m: MeasureSpec, state: LaplacianState,
-                      links: list[tuple[Edge, float]], current: float) -> np.ndarray:
-    """Post-addition measure value for every remaining candidate link."""
+def _score_candidates(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarray, ...],
+                      idx: np.ndarray, current: float) -> np.ndarray:
+    """Post-addition measure value for each link idx of the arrays `links`."""
+    rows, cols, ws = (a[idx] for a in links)
     form = _CLOSED_FORMS.get(m)
     if form is None:
-        return np.array([companion_value(m, downdated_inverse_spectrum(state, e, w), state.n)
-                         for e, w in links])
+        return np.array([companion_value(m, downdated_inverse_spectrum(state, (i, j), w), state.n)
+                         for i, j, w in zip(rows.tolist(), cols.tolist(), ws.tolist())])
     stat = current if form.power is None else float(np.trace(state.pinv_power(form.power)))
-    return form.transform(stat - _drop(form, state, *_link_arrays(links)))
+    return form.transform(stat - _drop(form, state, rows, cols, ws))
 
 
 def _argmin_lex(scores) -> tuple[int, int]:
@@ -227,23 +225,27 @@ def _check_instance(state: LaplacianState, candidates: CandidateSet, k: int) -> 
 
 def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
            m: MeasureSpec) -> SynthesisResult:
-    """Add the best single link k times, updating the state rank-one each pick."""
+    """Add the best single link k times.
+
+    The state is updated rank-one between picks only: k - 1 updates in all.
+    """
     _check_instance(state, candidates, k)
-    remaining = list(candidates.links)
+    links = _link_arrays(candidates.links)
+    remaining = np.arange(candidates.p)
     values = [_initial_value(m, state)]
     chosen: list[tuple[Edge, float]] = []
     elapsed: list[float] = []
     tie_breaks = 0
-    top = _top(m)
 
-    for _ in range(k):
+    for step in range(k):
         t0 = perf_counter()
-        scores = _score_candidates(m, state, remaining, values[-1])
+        scores = _score_candidates(m, state, links, remaining, values[-1])
         pick, ties = _argmin_lex(scores)
         tie_breaks += ties
-        edge, w = remaining.pop(pick)
-        chosen.append((edge, w))
-        state = state.with_edge(edge, w, top)
+        chosen.append(candidates.links[remaining[pick]])
+        remaining = np.delete(remaining, pick)
+        if step + 1 < k:
+            state = state.with_edge(*chosen[-1], _top(m))
         values.append(float(scores[pick]))
         elapsed.append(perf_counter() - t0)
 
@@ -293,33 +295,28 @@ def linearized(state: LaplacianState, candidates: CandidateSet, k: int,
                m: MeasureSpec) -> SynthesisResult:
     """One-shot selection of the k largest first-order improvements.
 
-    The score of link e = {i, j} with weight w is
-    delta(e) = -w (grad_ii + grad_jj - 2 grad_ij) >= 0, the first-order
-    decrease of the measure.  The gradient is computed once; gradient and
-    sort time are attributed to the first step of `elapsed`.
+    The first-order change of the measure from link e = {i, j} with weight w
+    is w (grad_ii + grad_jj - 2 grad_ij) <= 0.  The gradient is computed once;
+    gradient and sort time are attributed to the first step of `elapsed`.
     """
     _check_instance(state, candidates, k)
     t0 = perf_counter()
-    rows, cols, ws = _link_arrays(candidates.links)
-    deltas = (-ws * pair_form(gradient(m, state), rows, cols)).tolist()
-    order = sorted(range(candidates.p), key=lambda idx: (-deltas[idx], candidates.links[idx][0]))
-    picked = order[:k]
-    tie_breaks = 0
-    if 0 < k < candidates.p:
-        boundary = deltas[picked[-1]]
-        tie_breaks = sum(1 for idx in order[k:] if _tie(boundary, deltas[idx]))
+    links = rows, cols, ws = _link_arrays(candidates.links)
+    changes = ws * pair_form(gradient(m, state), rows, cols)
+    # Stable on edge-sorted candidates: equal changes keep edge order.
+    order = np.argsort(changes, kind="stable")
+    tie_breaks = _argmin_lex(changes[order[k - 1:]])[1] if k else 0
     select_time = perf_counter() - t0
 
     values = [_initial_value(m, state)]
     elapsed = []
-    cur = state
-    for step, idx in enumerate(picked):
+    for step in range(k):
         t1 = perf_counter()
-        link = candidates.links[idx]
-        values.append(float(_score_candidates(m, cur, [link], values[-1])[0]))
+        values.append(float(_score_candidates(m, state, links, order[step:step + 1],
+                                              values[-1])[0]))
         if step + 1 < k:
-            cur = cur.with_edge(*link, _top(m))
+            state = state.with_edge(*candidates.links[order[step]], _top(m))
         elapsed.append(perf_counter() - t1 + (select_time if step == 0 else 0.0))
 
-    chosen = tuple(candidates.links[idx] for idx in picked)
+    chosen = tuple(candidates.links[idx] for idx in order[:k])
     return SynthesisResult("linear", chosen, tuple(values), tuple(elapsed), tie_breaks)

@@ -20,8 +20,6 @@ def test_config_validation():
         sg.SimConfig(dt=0.01, t_final=0.0, trials=1000, seed=0)
     with pytest.raises(sg.InvalidParameter):
         sg.SimConfig(dt=0.01, t_final=1.0, trials=99, seed=0)
-    with pytest.raises(sg.InvalidParameter):
-        sg.SimConfig(dt=0.01, t_final=1.0, trials=1000, seed=0, scheme="heun")
 
 
 def test_zero_time_is_exact_zero():

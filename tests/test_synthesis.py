@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import specgrow as sg
-from util import (full_recompute_value, k4, kind_suite, laplacian_of, path_graph,
+from util import (full_recompute_value, graph, k4, kind_suite, laplacian_of, path_graph,
                   random_candidates, random_connected, ring_graph, two_node)
 
 
@@ -215,6 +215,27 @@ def test_all_infinite_scores_pick_the_lex_first_candidate():
     assert resb.values == (math.inf,) * 3
 
 
+def test_greedy_spectral_scores_exact_at_extreme_weights():
+    # 40-digit references (mpmath eigenvalues of L + 1e8 L_e).  Scoring by the
+    # downdated pseudo-inverse stays within a few ulp here; eigvalsh of
+    # L + 1e8 L_e itself errs by 3e-10 to 2e-9.
+    g = graph(8, [(i, i + 1, 1.0) for i in range(7)] + [(0, 4, 0.5), (2, 6, 1.5)])
+    s = sg.build_laplacian(g)
+    reference = {
+        "tau:t=1": {(0, 7): 1.385717943347479486918568136703406989240,
+                    (1, 5): 1.530818993103010421886688094401248960968,
+                    (3, 7): 1.451680584593673786514296896005148857571},
+        "zeta:q=3": {(0, 7): 1.134392149780301620155499586089161703093,
+                     (1, 5): 1.532807737025555569193883305250743850108,
+                     (3, 7): 1.350820963479698149235420464962653922878},
+    }
+    for spec, by_edge in reference.items():
+        m = sg.parse_measure(spec)
+        for (i, j), ref in by_edge.items():
+            res = sg.greedy(s, sg.CandidateSet.from_triples([(i, j, 1e8)]), 1, m)
+            assert res.values[1] == pytest.approx(ref, rel=1e-13, abs=0.0), (spec, i, j)
+
+
 def test_greedy_supermodular_ratio():
     rng = np.random.default_rng(103)
     for spec in ("volume", "mq:q=0.5"):
@@ -266,6 +287,15 @@ def test_linearized_score_is_weighted_squared_resistance_for_zeta1():
     assert [e for e, _ in res.chosen] == expected
 
 
+def test_linearized_counts_candidates_tied_with_its_last_pick():
+    # K4 with complete unit candidates: all six first-order changes tie
+    s = sg.build_laplacian(k4())
+    c = sg.CandidateSet.complete(4, weight=1.0)
+    m = sg.parse_measure("zeta:q=1")
+    for k, ties in ((1, 5), (2, 4), (6, 0)):
+        assert sg.linearized(s, c, k, m).tie_breaks == ties, k
+
+
 def test_linearized_invariant_under_weight_scaling():
     rng = np.random.default_rng(109)
     s = sg.build_laplacian(random_connected(rng, 9))
@@ -304,7 +334,7 @@ def test_linearized_rejects_nondifferentiable():
             sg.linearized(s, c, 2, sg.parse_measure(spec))
 
 
-def test_linearized_updates_the_state_only_between_picks(monkeypatch):
+def test_solvers_update_the_state_only_between_picks(monkeypatch):
     calls = []
     with_edge = sg.LaplacianState.with_edge
 
@@ -315,10 +345,11 @@ def test_linearized_updates_the_state_only_between_picks(monkeypatch):
     monkeypatch.setattr(sg.LaplacianState, "with_edge", counting)
     s = sg.build_laplacian(path_graph(6))
     c = sg.CandidateSet.complete(6, weight=0.5)
-    for k, expected in ((1, 0), (3, 2)):
-        calls.clear()
-        sg.linearized(s, c, k, sg.parse_measure("zeta:q=1"))
-        assert len(calls) == expected
+    for solver in (sg.greedy, sg.linearized):
+        for k, expected in ((1, 0), (3, 2)):
+            calls.clear()
+            solver(s, c, k, sg.parse_measure("zeta:q=1"))
+            assert len(calls) == expected, solver.__name__
 
 
 def test_greedy_does_not_depend_on_powers_read_earlier(monkeypatch):
@@ -343,7 +374,7 @@ def test_greedy_does_not_depend_on_powers_read_earlier(monkeypatch):
         m = sg.parse_measure(spec)
         held.clear()
         after = sg.greedy(shared, cands, 8, m)
-        assert held == [powers] * 8, spec
+        assert held == [powers] * 7, spec
         held.clear()
         sg.linearized(shared, cands, 8, m)
         assert held == [powers] * 7, spec
