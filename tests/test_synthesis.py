@@ -236,6 +236,78 @@ def test_greedy_spectral_scores_exact_at_extreme_weights():
             assert res.values[1] == pytest.approx(ref, rel=1e-13, abs=0.0), (spec, i, j)
 
 
+def full_scan_greedy(state, candidates, k, m):
+    """Reference greedy: every remaining candidate scored exactly at every step."""
+    from specgrow.synthesis import (_argmin_lex, _initial_value, _link_arrays,
+                                    _score_candidates, _top)
+    links = _link_arrays(candidates.links)
+    remaining = np.arange(candidates.p)
+    chosen, values, tie_breaks = [], [_initial_value(m, state)], 0
+    for step in range(k):
+        scores = _score_candidates(m, state, links, remaining, values[-1])
+        pick, ties = _argmin_lex(scores)
+        tie_breaks += ties
+        chosen.append(candidates.links[remaining[pick]])
+        remaining = np.delete(remaining, pick)
+        if step + 1 < k:
+            state = state.with_edge(*chosen[-1], _top(m))
+        values.append(float(scores[pick]))
+    return repr(tuple(chosen)), repr(tuple(values)), tie_breaks
+
+
+def pruning_suite(state):
+    """The measures greedy scores with bound pruning, gamma around its threshold."""
+    lam2 = float(state.eigvals[1])
+    specs = ("tau:t=1", "zeta:q=3", "hp:p=3", "mq:q=0.5", "mq:q=0", "mq:q=1",
+             "hankel", "zeta:q=inf", "hp:p=inf")
+    return [sg.parse_measure(t) for t in specs] + [
+        sg.MeasureSpec("gamma", g / lam2) for g in (1.0000001, 1.0, 0.5, 10.0)]
+
+
+def test_pruned_greedy_equals_full_scan():
+    def check(s, c, k):
+        for m in pruning_suite(s):
+            res = sg.greedy(s, c, k, m)
+            got = (repr(res.chosen), repr(res.values), res.tie_breaks)
+            assert got == full_scan_greedy(s, c, k, m), (m.label, k)
+
+    rng = np.random.default_rng(157)
+    for _ in range(6):
+        n = int(rng.integers(6, 16))
+        s = sg.build_laplacian(random_connected(rng, n))
+        triples = [(i, j, w) for (i, j), w in random_candidates(rng, n, 12).links]
+        for scale in (1e-8, 1.0, 1e8):  # the bound is nearly tight at 1e-8
+            check(s, sg.CandidateSet.from_triples([(i, j, scale * w) for i, j, w in triples]), 4)
+        # a 1e8 link: scores and bounds round apart by up to 8e-8 relative (mq:q=1)
+        g = random_connected(rng, n)
+        s = sg.build_laplacian(g.with_edge(next(iter(g.edges)), 1e8))
+        check(s, random_candidates(rng, n, 12), 4)
+    # symmetric graphs with complete unit candidates tie exactly
+    for g in (k4(), ring_graph(6), ring_graph(8), path_graph(5)):
+        s = sg.build_laplacian(g)
+        for k in (1, 3, 5):
+            check(s, sg.CandidateSet.complete(g.n), k)
+
+
+def test_greedy_prunes_candidates_a_bound_rules_out(monkeypatch):
+    from specgrow import synthesis
+    calls = []
+    companion_value = synthesis.companion_value
+
+    def counting(*args):
+        calls.append(1)
+        return companion_value(*args)
+
+    monkeypatch.setattr(synthesis, "companion_value", counting)
+    rng = np.random.default_rng(163)
+    s = sg.build_laplacian(random_connected(rng, 120))
+    c = random_candidates(rng, 120, 400)
+    k = 3
+    sg.greedy(s, c, k, sg.parse_measure("tau:t=1"))
+    # a full scan scores p - t candidates at step t; pruning, under p/4 a step
+    assert 0 < len(calls) < k * c.p / 4
+
+
 def test_greedy_supermodular_ratio():
     rng = np.random.default_rng(103)
     for spec in ("volume", "mq:q=0.5"):
