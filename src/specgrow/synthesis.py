@@ -235,7 +235,8 @@ def _lower_bounds(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarray
             return current + _first_order(m, state, links, idx)
         except NonDifferentiableMeasure:
             return None
-    # The value is a / lambda_2, with lambda_2 read off it as the scores read it.
+    # The value is a / lambda_2 (a = 1/2 for hankel, else 1); lambda_2 is read
+    # off the value, the route the scores take.
     # Courant-Fischer with the state's lambda_2 eigenvector v gives
     # lambda_2(L + w L_e) <= lambda_2 + w (v_i - v_j)^2, for repeated lambda_2 too.
     rows, cols, ws = (a[idx] for a in links)
