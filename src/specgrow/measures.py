@@ -120,43 +120,49 @@ def hardy_schatten_alpha0(p: float) -> float:
 # --- value on a spectrum ----------------------------------------------------
 
 
-def spectral_value(m: MeasureSpec, eigenvalues, n: int) -> float:
-    """Measure value from the n-1 nonzero eigenvalues (inf entries allowed)."""
+def spectral_value(m: MeasureSpec, eigenvalues, n: int):
+    """Measure value from the n-1 nonzero eigenvalues (inf entries allowed).
+
+    A 2-D array gives one value per row, as an array; a 1-D one a float.
+    """
     lams = np.asarray(eigenvalues, dtype=float)
-    if lams.size != n - 1:
-        raise InvalidParameter(f"expected {n - 1} nonzero eigenvalues, got {lams.size}")
+    if lams.shape[-1] != n - 1:
+        raise InvalidParameter(f"expected {n - 1} nonzero eigenvalues, got {lams.shape[-1]}")
     if (lams <= 0.0).any():
         raise InvalidParameter("nonzero eigenvalues must be strictly positive")
+    value = _row_values(m, lams, n)
+    return float(value) if lams.ndim == 1 else value
 
+
+def _row_values(m: MeasureSpec, lams: np.ndarray, n: int):
+    """The measure of each row of lams; a 1-D lams reduces to a numpy scalar,
+    whose powers round as Python's float powers do."""
     if m.kind == "zeta":
         q = m.param
         if math.isinf(q):
-            return float(1.0 / np.min(lams))
-        s = float(np.sum(lams ** -q))
-        return s ** (1.0 / q)
+            return 1.0 / np.min(lams, axis=-1)
+        return np.sum(lams ** -q, axis=-1) ** (1.0 / q)
     if m.kind == "gamma":
         g = m.param
-        if g * float(np.min(lams)) < 1.0:
-            return math.inf
         root = np.sqrt(np.maximum(lams * lams - g ** -2, 0.0))
-        return float(np.sum(1.0 / (lams + root)))
+        return np.where(g * np.min(lams, axis=-1) < 1.0, math.inf,
+                        np.sum(1.0 / (lams + root), axis=-1))
     if m.kind == "tau":
         t = m.param
-        return float(np.sum((1.0 - np.exp(-2.0 * t * lams)) / (2.0 * lams)))
+        return np.sum((1.0 - np.exp(-2.0 * t * lams)) / (2.0 * lams), axis=-1)
     if m.kind == "hankel":
-        return float(0.5 / np.min(lams))
+        return 0.5 / np.min(lams, axis=-1)
     if m.kind == "volume":
         with np.errstate(divide="ignore"):
-            return float((1.0 - n) * math.log(2.0) - np.sum(np.log(lams)))
+            return (1.0 - n) * math.log(2.0) - np.sum(np.log(lams), axis=-1)
     if m.kind == "hp":
         p = m.param
         if math.isinf(p):
-            return float(1.0 / np.min(lams))
-        s = float(np.sum(lams ** -(p - 1.0)))
-        return hardy_schatten_alpha0(p) * s ** (1.0 / p)
+            return 1.0 / np.min(lams, axis=-1)
+        return hardy_schatten_alpha0(p) * np.sum(lams ** -(p - 1.0), axis=-1) ** (1.0 / p)
     # mq
     q = m.param
-    return float(-np.sum(lams ** q))
+    return -np.sum(lams ** q, axis=-1)
 
 
 def evaluate(m: MeasureSpec, state: LaplacianState) -> float:

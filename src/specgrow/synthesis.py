@@ -25,6 +25,7 @@ pick.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .errors import (CombinatorialBlowup, GraphFormatError, InvalidParameter,
-                     NonDifferentiableMeasure, UnsupportedMeasure)
+                     UnsupportedMeasure)
 from .graphs import Edge, add_link, canonical_edge
 from .laplacian import LaplacianState, downdated_inverse_spectrum, pair_form
 from .measures import MeasureSpec, companion_value, evaluate, gradient, spectral_value
@@ -44,9 +45,19 @@ TIE_REL = 1e-12
 # Greedy stops scoring once the next lower bound lies above the best score's
 # tie band by SLACK too (relative, like TIE_REL).  The bounds read the state's
 # eigendecomposition and the scores a downdated pseudo-inverse; the two routes
-# round apart by an amount that grows with cond(L), up to 8e-8 of the value
-# seen on graphs holding links of weight 1e8.
+# round apart by an amount that grows with cond(L) and n: up to 5.5e-7 of the
+# value seen for mq:q=1 with links of weight 1e8 at n = 80-160.
 SLACK = 1e-6
+# Greedy's bounds after the diagonal one: pinchings that couple the 32, then
+# the 128, eigen-directions a link moves most (see _pinched_bounds), for CHUNK
+# links at a time.  A grow-spectral-n300 solve (n = 300, p = 1,000, k = 2)
+# computes the first for 32-79 links and the second for 32-35 (0.03 and
+# 0.33 ms a link, against 2.2 ms for an exact score), then scores 2 links.
+BLOCKS = (32, 128)
+CHUNK = 16
+# Links bounded in one pass: their (ROWS, n) temporaries stay near 300 KB each
+# at n = 300, where all 1,000 candidates at once raised peak memory by 10 MiB.
+ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -223,40 +234,90 @@ def _first_order(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarray,
     return ws * pair_form(gradient(m, state), rows, cols)
 
 
-def _lower_bounds(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarray, ...],
-                  idx: np.ndarray, current: float) -> np.ndarray | None:
-    """A lower bound on the post-addition value for each link idx, or None
-    where there is none to use: closed forms, an infinite value, and gamma at
-    or below its threshold."""
-    if m in _CLOSED_FORMS or not math.isfinite(current):
-        return None
-    if m.differentiable:
-        try:  # convexity: rho(L + w L_e) >= rho(L) + w <G, L_e>
-            return current + _first_order(m, state, links, idx)
-        except NonDifferentiableMeasure:
-            return None
-    # The value is a / lambda_2 (a = 1/2 for hankel, else 1); lambda_2 is read
-    # off the value, the route the scores take.
-    # Courant-Fischer with the state's lambda_2 eigenvector v gives
-    # lambda_2(L + w L_e) <= lambda_2 + w (v_i - v_j)^2, for repeated lambda_2 too.
+def _cut(best: float) -> float:
+    """The highest lower bound that cannot rule a candidate out: the best
+    score's tie band plus SLACK."""
+    return best + (TIE_REL + SLACK) * max(1.0, abs(best))
+
+
+def _pinched_bounds(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarray, ...],
+                    idx: np.ndarray, block: int) -> np.ndarray:
+    """A lower bound on the post-addition value of each link idx.
+
+    In the eigenbasis of L, adding w L_e adds w z z^T with z = V^T (e_i - e_j).
+    The bound is the measure at the spectrum of a pinching of Lambda + w z z^T:
+    the `block` directions with the largest z_k^2 kept as one block, every
+    other direction k as the 1x1 block lambda_k + w z_k^2 (block = 0 is the
+    diagonal).  The true spectrum majorizes a pinching's (Schur-Horn, and Ky
+    Fan for blocks), and every measure is a convex symmetric function of the
+    spectrum, so the bound holds; the more the block couples, the tighter it
+    is.  An infinite bound (gamma below its threshold on the bound's
+    spectrum) is returned as -inf: it rules nothing out.
+    """
+    if idx.size > ROWS:
+        return np.concatenate([_pinched_bounds(m, state, links, idx[start:start + ROWS], block)
+                               for start in range(0, idx.size, ROWS)])
     rows, cols, ws = (a[idx] for a in links)
-    v = state.eigvecs[:, 1]
-    a = 0.5 if m.kind == "hankel" else 1.0
-    return a / (a / current + ws * (v[rows] - v[cols]) ** 2)
+    lams = state.nonzero_eigvals
+    Z = state.eigvecs[rows, 1:] - state.eigvecs[cols, 1:]
+    Z2 = Z * Z
+    spectra = lams + ws[:, None] * Z2
+    block = min(block, lams.size)
+    if block and idx.size:
+        sel = np.argpartition(-Z2, block - 1, axis=1)[:, :block]
+        lam_s = np.sort(lams[sel], axis=1)
+        zs = np.take_along_axis(Z, sel, axis=1)
+        A = ws[:, None, None] * zs[:, :, None] * zs[:, None, :]
+        A[:, np.arange(block), np.arange(block)] += lams[sel]
+        # Raise the computed eigenvalues by eigvalsh's error bound, capped by
+        # interlacing (nu_k <= lambda_k+1, nu_block <= lambda_block + w |z_S|^2),
+        # so that no eigenvalue sits below the true one.
+        top = lam_s[:, -1] + ws * np.sum(zs * zs, axis=1)
+        cap = np.concatenate([lam_s[:, 1:], top[:, None]], axis=1)
+        err = (block * np.finfo(float).eps) * top
+        nus = np.minimum(np.linalg.eigvalsh(A) + err[:, None], cap)
+        np.put_along_axis(spectra, sel, nus, axis=1)
+    bounds = spectral_value(m, spectra, state.n)
+    return np.where(bounds < math.inf, bounds, -math.inf)
 
 
 def _pruned_scores(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarray, ...],
-                   idx: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Exact scores of the links idx in ascending-bound order, stopping at the
-    first bound above the best score's tie band plus SLACK; the rest read inf."""
+                   idx: np.ndarray) -> np.ndarray:
+    """Exact scores of the links idx that the lower bounds cannot rule out;
+    the rest read inf.
+
+    Links are taken CHUNK at a time in ascending diagonal-bound order.  In a
+    chunk, each BLOCKS bound in turn is computed for the links whose last
+    bound passes the best score's cut; the survivors wait, keyed by their
+    last bound, and are scored in ascending order of it (ties by index)
+    while it passes the cut.  The walk ends at the first chunk whose lowest
+    diagonal bound is above the cut.
+    """
     rows, cols, ws = (a[idx].tolist() for a in links)
     scores = np.full(idx.size, math.inf)
     best = math.inf
-    for pos in np.argsort(bounds, kind="stable").tolist():
-        if bounds[pos] > best + (TIE_REL + SLACK) * max(1.0, abs(best)):
+    if idx.size > CHUNK:
+        diagonal = _pinched_bounds(m, state, links, idx, 0)
+    else:  # one chunk, which the diagonal bound would neither order nor filter
+        diagonal = np.full(idx.size, -math.inf)
+    order = np.argsort(diagonal, kind="stable")
+    pending: list[tuple[float, int]] = []
+    for start in range(0, idx.size, CHUNK):
+        chunk = order[start:start + CHUNK]
+        bounds = diagonal[chunk]
+        if not bounds[0] <= _cut(best):
             break
-        scores[pos] = _spectral_score(m, state, rows[pos], cols[pos], ws[pos])
-        best = min(best, scores[pos])
+        for block in BLOCKS:
+            chunk = chunk[bounds <= _cut(best)]
+            bounds = _pinched_bounds(m, state, links, idx[chunk], block)
+            if block >= state.n - 1:  # one block of every direction: no tighter bound
+                break
+        for bound, pos in zip(bounds.tolist(), chunk.tolist()):
+            heapq.heappush(pending, (bound, pos))
+        while pending and pending[0][0] <= _cut(best):
+            pos = heapq.heappop(pending)[1]
+            scores[pos] = _spectral_score(m, state, rows[pos], cols[pos], ws[pos])
+            best = min(best, scores[pos])
     return scores
 
 
@@ -286,19 +347,21 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
     The state is updated rank-one between picks only: k - 1 updates in all.
 
     Measures without a closed form are scored exactly only where a lower
-    bound on the post-addition value does not rule the candidate out.  Each
-    step computes one bound per candidate: by convexity
-    rho(L + w L_e) >= rho(L) + w <G, L_e> with G the gradient, and for the
-    max-eigenvalue measures (value a / lambda_2) by Courant-Fischer,
-    a / (lambda_2 + w (v_i - v_j)^2) with v the lambda_2 eigenvector.
-    Candidates are scored in ascending-bound order (ties by index) until the
-    next bound exceeds best + (TIE_REL + SLACK) max(1, |best|); SLACK covers
-    the rounding between the bounds and the scores.  Every unscored candidate
-    then lies outside the tie band, so the tie rule, the picks, the values
-    and `tie_breaks` are those of scoring every candidate.  Every candidate
-    is scored when the value is infinite or gamma sits at or below its
-    threshold, where no gradient exists.  The bounds read the spectrum: one
-    eigendecomposition per grown state.
+    bound on the post-addition value does not rule the candidate out.  In
+    the eigenbasis of L, adding w L_e adds w z z^T, z = V^T (e_i - e_j); the
+    spectrum of a pinching of Lambda + w z z^T is majorized by the true one,
+    and every measure is convex and symmetric in the spectrum, so its value
+    there is a lower bound (:func:`_pinched_bounds`).  Each step computes the
+    diagonal pinching, lambda_k + w z_k^2, for every candidate and then,
+    CHUNK at a time in ascending order of it, tighter pinchings that keep
+    the BLOCKS directions with the largest z_k^2 coupled, each for the
+    candidates the one before could not rule out.  Candidates are scored in
+    ascending order of their last bound (ties by index) while it is at most
+    best + (TIE_REL + SLACK) max(1, |best|); SLACK covers the rounding
+    between the bounds and the scores.  Every unscored candidate then lies
+    outside the tie band, so the tie rule, the picks, the values and
+    `tie_breaks` are those of scoring every candidate.  The bounds read the
+    spectrum: one eigendecomposition per grown state.
     """
     _check_instance(state, candidates, k)
     links = _link_arrays(candidates.links)
@@ -310,11 +373,10 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
 
     for step in range(k):
         t0 = perf_counter()
-        bounds = _lower_bounds(m, state, links, remaining, values[-1])
-        if bounds is None:
+        if m in _CLOSED_FORMS:
             scores = _score_candidates(m, state, links, remaining, values[-1])
         else:
-            scores = _pruned_scores(m, state, links, remaining, bounds)
+            scores = _pruned_scores(m, state, links, remaining)
         pick, ties = _argmin_lex(scores)
         tie_breaks += ties
         chosen.append(candidates.links[remaining[pick]])

@@ -252,6 +252,24 @@ def test_companion_equals_evaluate():
             assert cv == pytest.approx(ev, rel=1e-10), m.label
 
 
+def test_spectral_value_gives_one_value_per_row():
+    rng = np.random.default_rng(35)
+    s = sg.build_laplacian(random_connected(rng, 9))
+    rows = s.nonzero_eigvals * rng.uniform(0.5, 3.0, size=(4, 8))
+    rows[1, 2] = math.inf
+    for m in kind_suite(s) + [sg.parse_measure("zeta:q=inf"), sg.parse_measure("mq:q=1")]:
+        values = sg.spectral_value(m, rows, s.n)
+        assert values.shape == (4,), m.label
+        for row, value in zip(rows, values):
+            one = sg.spectral_value(m, row, s.n)
+            assert isinstance(one, float)
+            assert value == pytest.approx(one, rel=1e-13), m.label
+    below = sg.MeasureSpec("gamma", 1.0 / float(rows[0].min()))
+    rows[2] = 0.5 * rows[0]  # gamma below its threshold in this row only
+    values = sg.spectral_value(below, rows, s.n)
+    assert values[2] == math.inf and math.isfinite(values[0])
+
+
 def test_companion_two_node():
     s = sg.build_laplacian(two_node())
     m = sg.parse_measure("zeta:q=1")

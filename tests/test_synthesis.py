@@ -265,8 +265,10 @@ def pruning_suite(state):
 
 
 def test_pruned_greedy_equals_full_scan():
-    def check(s, c, k):
-        for m in pruning_suite(s):
+    from specgrow import synthesis
+
+    def check(s, c, k, suite=pruning_suite):
+        for m in suite(s):
             res = sg.greedy(s, c, k, m)
             got = (repr(res.chosen), repr(res.values), res.tie_breaks)
             assert got == full_scan_greedy(s, c, k, m), (m.label, k)
@@ -278,7 +280,7 @@ def test_pruned_greedy_equals_full_scan():
         triples = [(i, j, w) for (i, j), w in random_candidates(rng, n, 12).links]
         for scale in (1e-8, 1.0, 1e8):  # the bound is nearly tight at 1e-8
             check(s, sg.CandidateSet.from_triples([(i, j, scale * w) for i, j, w in triples]), 4)
-        # a 1e8 link: scores and bounds round apart by up to 8e-8 relative (mq:q=1)
+        # a 1e8 link: scores and bounds round apart by up to 3e-7 relative (mq:q=1)
         g = random_connected(rng, n)
         s = sg.build_laplacian(g.with_edge(next(iter(g.edges)), 1e8))
         check(s, random_candidates(rng, n, 12), 4)
@@ -287,6 +289,15 @@ def test_pruned_greedy_equals_full_scan():
         s = sg.build_laplacian(g)
         for k in (1, 3, 5):
             check(s, sg.CandidateSet.complete(g.n), k)
+    # more eigen-directions than the largest block couples, more candidates than a chunk
+    n = max(synthesis.BLOCKS) + 12
+    s = sg.build_laplacian(random_connected(rng, n))
+    triples = [(i, j, w) for (i, j), w in random_candidates(rng, n, 3 * synthesis.CHUNK).links]
+    specs = ("tau:t=1", "zeta:q=3", "hankel", "mq:q=1")
+    suite = lambda s: ([sg.parse_measure(t) for t in specs]
+                       + [sg.MeasureSpec("gamma", 1.0000001 / float(s.eigvals[1]))])
+    for scale in (1e-8, 1.0, 1e8):
+        check(s, sg.CandidateSet.from_triples([(i, j, scale * w) for i, j, w in triples]), 3, suite)
 
 
 def test_greedy_prunes_candidates_a_bound_rules_out(monkeypatch):
@@ -306,6 +317,29 @@ def test_greedy_prunes_candidates_a_bound_rules_out(monkeypatch):
     sg.greedy(s, c, k, sg.parse_measure("tau:t=1"))
     # a full scan scores p - t candidates at step t; pruning, under p/4 a step
     assert 0 < len(calls) < k * c.p / 4
+
+
+def test_pinched_bounds_lie_below_the_scores_and_tighten_with_the_block():
+    from specgrow.synthesis import SLACK, _link_arrays, _pinched_bounds, _score_candidates
+    rng = np.random.default_rng(173)
+    for scale in (1.0, 1e8):
+        s = sg.build_laplacian(random_connected(rng, 40))
+        c = random_candidates(rng, 40, 30)
+        links = _link_arrays([(e, scale * w) for e, w in c.links])
+        idx = np.arange(c.p)
+        for m in pruning_suite(s):
+            scores = _score_candidates(m, s, links, idx, math.inf)
+            # at 1e8 the scores of mq round off by ~3e-8 relative; greedy allows SLACK
+            slack = SLACK * np.maximum(1.0, np.abs(scores))
+            previous = -np.inf
+            for block in (0, 8, 39):  # 39: one block of every direction, the exact spectrum
+                bounds = _pinched_bounds(m, s, links, idx, block)
+                assert np.all(bounds <= scores + slack), (m.label, scale, block)
+                assert np.all(bounds >= previous - slack), (m.label, scale, block)
+                previous = bounds
+            finite = np.isfinite(scores)
+            if scale == 1.0:
+                assert previous[finite] == pytest.approx(scores[finite], rel=1e-9), m.label
 
 
 def test_greedy_supermodular_ratio():
