@@ -47,7 +47,7 @@ def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _run_record(args, inputs: dict[str, str], payload: dict) -> dict:
+def _run_record(inputs: dict[str, str], payload: dict) -> dict:
     return {
         "tool": "specgrow",
         "version": __version__,
@@ -94,7 +94,6 @@ def cmd_grow(args) -> int:
 
     if args.out:
         record = _run_record(
-            args,
             {"graph": args.graph, "candidates": args.candidates},
             {"measure": m.label, "algorithm": result.algorithm, "seed": args.seed,
              "result": result.to_json_obj()},
@@ -125,7 +124,7 @@ def cmd_limits(args) -> int:
         Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
     if args.out:
         record = _run_record(
-            args, {"graph": args.graph},
+            {"graph": args.graph},
             {"measure": m.label,
              "limit_value": limit_value(m, state.n),
              "rows": [{"k": k, "rho_k": rho, "pi_k": pi} for k, rho, pi in rows]},
@@ -149,8 +148,7 @@ def cmd_validate(args) -> int:
     payload = report.to_json_obj()
     print(json.dumps(payload, sort_keys=True))
     if args.out:
-        record = _run_record(args, {"graph": args.graph},
-                             {"measure": m.label, "report": payload})
+        record = _run_record({"graph": args.graph}, {"measure": m.label, "report": payload})
         _write_json(args.out, record)
     return EXIT_OK
 

@@ -9,6 +9,7 @@ a new graph.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -19,12 +20,59 @@ from .errors import GraphFormatError, NodeCountMismatch, SelfLoopEdge
 Edge = tuple[int, int]
 
 
+def _integer(x, what: str) -> int:
+    """x as an int: a float, bool or string is refused, never truncated."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise GraphFormatError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def canonical_edge(i: int, j: int) -> Edge:
     """Return the unordered pair (i, j) as a canonical (low, high) tuple."""
-    i, j = int(i), int(j)
+    if type(i) is not int or type(j) is not int:  # plain ints skip the slower check
+        i, j = _integer(i, "node id"), _integer(j, "node id")
     if i == j:
         raise SelfLoopEdge(f"self-loop on node {i}")
     return (i, j) if i < j else (j, i)
+
+
+def read_links(triples: Iterable, n: int | None = None) -> dict[Edge, float]:
+    """The canonical {edge: weight} map of (i, j, w) link triples.
+
+    The one rule for every list of weighted links, graph or candidate set:
+    node ids are integers in [0, n), or only nonnegative while n is None (a
+    candidate file read before its graph), no link is a self-loop (raises
+    SelfLoopEdge), weights are positive and finite, and no unordered pair is
+    listed twice.  Every other fault raises GraphFormatError.
+    """
+    hi = math.inf if n is None else n
+    links: dict[Edge, float] = {}
+    try:
+        for i, j, w in triples:
+            e = canonical_edge(i, j)
+            w = float(w)
+            if not (0 <= e[0] and e[1] < hi):
+                raise GraphFormatError(f"link {e} outside node range [0, {hi})")
+            if not 0.0 < w < math.inf:
+                raise GraphFormatError(f"link {e} has weight {w}, not positive and finite")
+            if e in links:
+                raise GraphFormatError(f"link {e} listed twice")
+            links[e] = w
+    except (TypeError, ValueError) as exc:  # not an (i, j, w) triple, or w not a number
+        raise GraphFormatError(f"bad link entry: {exc}") from exc
+    return links
+
+
+def load_json(source, *keys: str) -> dict:
+    """The JSON object in `source`, text or already decoded; it must hold every key."""
+    if isinstance(source, str):
+        try:
+            source = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise GraphFormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(source, dict) or not all(k in source for k in keys):
+        raise GraphFormatError("expected an object with " + " and ".join(f'"{k}"' for k in keys))
+    return source
 
 
 def add_link(L: np.ndarray, i: int, j: int, w: float) -> None:
@@ -43,31 +91,18 @@ class WeightedGraph:
     edges: dict[Edge, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if int(self.n) < 2:
-            raise GraphFormatError(f"need at least 2 nodes, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-        canon: dict[Edge, float] = {}
-        for (i, j), w in dict(self.edges).items():
-            e = canonical_edge(i, j)
-            if not (0 <= e[0] and e[1] < self.n):
-                raise GraphFormatError(f"edge {e} outside node range [0, {self.n})")
-            w = float(w)
-            if not (w > 0.0) or not np.isfinite(w):
-                raise GraphFormatError(f"edge {e} has non-positive weight {w}")
-            if e in canon:
-                raise GraphFormatError(f"duplicate edge {e}")
-            canon[e] = w
-        object.__setattr__(self, "edges", canon)
+        n = _integer(self.n, "node count")
+        if n < 2:
+            raise GraphFormatError(f"need at least 2 nodes, got {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", read_links(
+            ((i, j, w) for (i, j), w in self.edges.items()), n))
 
     @classmethod
     def from_edge_list(cls, n: int, links: Iterable[tuple[int, int, float]]) -> WeightedGraph:
-        edges: dict[Edge, float] = {}
-        for i, j, w in links:
-            e = canonical_edge(i, j)
-            if e in edges:
-                raise GraphFormatError(f"duplicate edge {e}")
-            edges[e] = float(w)
-        return cls(n, edges)
+        # Read once before the links become dict keys, where a pair listed
+        # twice would silently collapse; the constructor then range-checks.
+        return cls(n, read_links(links))
 
     def weight(self, i: int, j: int) -> float:
         """Weight of edge {i, j}, or 0.0 when absent."""
@@ -118,43 +153,24 @@ def meet(g1: WeightedGraph, g2: WeightedGraph) -> WeightedGraph:
 #
 # JSON:  {"n": int, "edges": [[i, j, w], ...]}
 # Text:  header line "n <count>", then one "i j w" line per edge.
-# Indices are 0-based; duplicate edges are rejected.
+# Both hold links under the rule of read_links; a node count or id is an
+# integer (1.5 is refused, not truncated), and ids are 0-based.
 
 
 def parse_graph_json(text: str) -> WeightedGraph:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise GraphFormatError('expected an object with "n" and "edges"')
-    try:
-        links = [(int(i), int(j), float(w)) for i, j, w in obj["edges"]]
-    except (TypeError, ValueError) as exc:
-        raise GraphFormatError(f"bad edge entry: {exc}") from exc
-    return WeightedGraph.from_edge_list(obj["n"], links)
+    obj = load_json(text, "n", "edges")
+    return WeightedGraph.from_edge_list(obj["n"], obj["edges"])
 
 
 def parse_graph_text(text: str) -> WeightedGraph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise GraphFormatError("empty graph file")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != "n":
-        raise GraphFormatError(f'expected header "n <count>", got {lines[0]!r}')
-    try:
-        n = int(header[1])
+    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if not rows or len(rows[0]) != 2 or rows[0][0] != "n":
+        raise GraphFormatError('expected a first line "n <count>"')
+    try:  # tokens to numbers only; read_links checks them
+        n = int(rows[0][1])
+        links = [(int(i), int(j), float(w)) for i, j, w in rows[1:]]
     except ValueError as exc:
-        raise GraphFormatError(f"bad node count {header[1]!r}") from exc
-    links = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise GraphFormatError(f"expected 'i j w', got {ln!r}")
-        try:
-            links.append((int(parts[0]), int(parts[1]), float(parts[2])))
-        except ValueError as exc:
-            raise GraphFormatError(f"bad edge line {ln!r}") from exc
+        raise GraphFormatError(f"bad graph line: {exc}") from exc
     return WeightedGraph.from_edge_list(n, links)
 
 

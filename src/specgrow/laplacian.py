@@ -200,10 +200,11 @@ def build_laplacian(graph: WeightedGraph) -> LaplacianState:
 
     Raises:
         NotConnected: if the links leave more than one component (checked
-            before any n x n allocation), or if the second-smallest
-            eigenvalue does not clear the scale-aware zero threshold.
+            before any n x n allocation, and by link count alone before the
+            union-find's n-entry list), or if the second-smallest eigenvalue
+            does not clear the scale-aware zero threshold.
     """
-    if not _connected(graph):
+    if len(graph.edges) < graph.n - 1 or not _connected(graph):
         raise NotConnected(f"{len(graph.edges)} links leave the {graph.n} nodes disconnected")
     L = graph.laplacian()
     vals, vecs = np.linalg.eigh(L)

@@ -6,9 +6,9 @@ candidate link set:
 * :func:`brute_force` - exhaustive search over all subsets, each scored by a
   full eigendecomposition (the reference answer on small instances).
 * :func:`greedy` - picks the single best link k times.  For the zeta:q=1,
-  zeta:q=2 and volume measures each candidate is scored in O(1) from its
-  effective resistances, read off the pseudo-inverse powers; every other
-  measure is scored from the spectrum of the rank-one-downdated
+  zeta:q=2, volume and mq:q=1 measures each candidate is scored in O(1) from
+  its weight and effective resistances, read off the pseudo-inverse powers;
+  every other measure is scored from the spectrum of the rank-one-downdated
   pseudo-inverse, and only where a per-step lower bound cannot rule the
   candidate out (see :func:`greedy`).
 * :func:`linearized` - one gradient of the measure, then the k candidates
@@ -25,8 +25,6 @@ pick.
 
 from __future__ import annotations
 
-import heapq
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice
@@ -37,7 +35,7 @@ import numpy as np
 
 from .errors import (CombinatorialBlowup, GraphFormatError, InvalidParameter,
                      UnsupportedMeasure)
-from .graphs import Edge, add_link, canonical_edge
+from .graphs import Edge, add_link, canonical_edge, load_json, read_links
 from .laplacian import LaplacianState, downdated_inverse_spectrum, pair_form
 from .measures import MeasureSpec, companion_value, evaluate, gradient, spectral_value
 
@@ -45,8 +43,9 @@ TIE_REL = 1e-12
 # Greedy stops scoring once the next lower bound lies above the best score's
 # tie band by SLACK too (relative, like TIE_REL).  The bounds read the state's
 # eigendecomposition and the scores a downdated pseudo-inverse; the two routes
-# round apart by an amount that grows with cond(L) and n: up to 5.5e-7 of the
-# value seen for mq:q=1 with links of weight 1e8 at n = 80-160.
+# round apart by an amount that grows with cond(L) and n.  The widest gap seen
+# was 5.5e-7 of the value, for mq:q=1 with links of weight 1e8 at n = 80-160,
+# before that measure moved to a closed form (which greedy does not prune).
 SLACK = 1e-6
 # Greedy's bounds after the diagonal one: pinchings that couple the 32, then
 # the 128, eigen-directions a link moves most (see _pinched_bounds), for CHUNK
@@ -67,20 +66,10 @@ class CandidateSet:
     links: tuple[tuple[Edge, float], ...]
 
     def __post_init__(self):
-        canon = []
-        seen = set()
-        for (edge, w) in self.links:
-            e = canonical_edge(*edge)
-            w = float(w)
-            if not (w > 0.0) or not math.isfinite(w):
-                raise GraphFormatError(f"candidate {e} has non-positive weight {w}")
-            if e in seen:
-                raise GraphFormatError(f"duplicate candidate link {e}")
-            seen.add(e)
-            canon.append((e, w))
-        if not canon:
+        links = read_links((i, j, w) for (i, j), w in self.links)
+        if not links:
             raise GraphFormatError("candidate set is empty")
-        object.__setattr__(self, "links", tuple(sorted(canon)))
+        object.__setattr__(self, "links", tuple(sorted(links.items())))
 
     @property
     def p(self) -> int:
@@ -88,23 +77,16 @@ class CandidateSet:
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[int, int, float]]) -> CandidateSet:
-        return cls(tuple(((i, j), w) for i, j, w in triples))
+        # Left lazy, so that a malformed triple surfaces inside read_links.
+        return cls(((i, j), w) for i, j, w in triples)
 
     @classmethod
     def from_json_obj(cls, obj) -> CandidateSet:
-        if not isinstance(obj, dict) or "links" not in obj:
-            raise GraphFormatError('expected an object with "links"')
-        try:
-            return cls.from_triples((int(i), int(j), float(w)) for i, j, w in obj["links"])
-        except (TypeError, ValueError) as exc:
-            raise GraphFormatError(f"bad candidate entry: {exc}") from exc
+        return cls.from_triples(load_json(obj, "links")["links"])
 
     @classmethod
     def parse(cls, text: str) -> CandidateSet:
-        try:
-            return cls.from_json_obj(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"invalid JSON: {exc}") from exc
+        return cls.from_json_obj(load_json(text))
 
     @classmethod
     def complete(cls, n: int, weight: float = 1.0) -> CandidateSet:
@@ -112,6 +94,7 @@ class CandidateSet:
         return cls(tuple(((i, j), weight) for i in range(n) for j in range(i + 1, n)))
 
     def validate_for(self, n: int) -> None:
+        """Raise unless every link fits n nodes; construction checked the rest."""
         for (i, j), _ in self.links:
             if j >= n:
                 raise GraphFormatError(f"candidate edge ({i}, {j}) outside node range [0, {n})")
@@ -166,6 +149,8 @@ _CLOSED_FORMS = {
         lambda s: np.sqrt(np.maximum(s, 0.0))),
     MeasureSpec("volume"): _ClosedForm(None, 1, lambda w, c, r: np.log1p(r[1] * w),
                                        lambda s: s),
+    # mq:q=1 is -tr L, which a link of weight w lowers by exactly 2w.
+    MeasureSpec("mq", 1.0): _ClosedForm(None, 1, lambda w, c, r: 2.0 * w, lambda s: s),
 }
 
 
@@ -184,8 +169,9 @@ def _drop(form: _ClosedForm, state: LaplacianState, rows, cols, ws):
 def closed_form_delta(m: MeasureSpec, state: LaplacianState, edge: Edge, weight: float) -> float:
     """Exact decrease from adding one weighted link, via resistances only.
 
-    Supported: zeta:q=1, volume, and zeta:q=2 (for which the returned
-    decrease is on the squared scale, tr of the squared pseudo-inverse).
+    Supported: zeta:q=1, volume, mq:q=1 (whose decrease is 2 w), and
+    zeta:q=2 (for which the returned decrease is on the squared scale, tr of
+    the squared pseudo-inverse).
     A weight of inf gives the infinite-coupling limit.
     """
     form = _CLOSED_FORMS.get(m)
@@ -288,10 +274,11 @@ def _pruned_scores(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarra
 
     Links are taken CHUNK at a time in ascending diagonal-bound order.  In a
     chunk, each BLOCKS bound in turn is computed for the links whose last
-    bound passes the best score's cut; the survivors wait, keyed by their
-    last bound, and are scored in ascending order of it (ties by index)
-    while it passes the cut.  The walk ends at the first chunk whose lowest
-    diagonal bound is above the cut.
+    bound passes the best score's cut; the survivors are scored in ascending
+    order of their last bound (ties by index) up to the first whose bound is
+    above the cut.  The cut only falls, so no later chunk could score the
+    rest.  The walk ends at the first chunk whose lowest diagonal bound is
+    above the cut.
     """
     rows, cols, ws = (a[idx].tolist() for a in links)
     scores = np.full(idx.size, math.inf)
@@ -301,7 +288,6 @@ def _pruned_scores(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarra
     else:  # one chunk, which the diagonal bound would neither order nor filter
         diagonal = np.full(idx.size, -math.inf)
     order = np.argsort(diagonal, kind="stable")
-    pending: list[tuple[float, int]] = []
     for start in range(0, idx.size, CHUNK):
         chunk = order[start:start + CHUNK]
         bounds = diagonal[chunk]
@@ -312,10 +298,9 @@ def _pruned_scores(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarra
             bounds = _pinched_bounds(m, state, links, idx[chunk], block)
             if block >= state.n - 1:  # one block of every direction: no tighter bound
                 break
-        for bound, pos in zip(bounds.tolist(), chunk.tolist()):
-            heapq.heappush(pending, (bound, pos))
-        while pending and pending[0][0] <= _cut(best):
-            pos = heapq.heappop(pending)[1]
+        for bound, pos in sorted(zip(bounds.tolist(), chunk.tolist())):
+            if not bound <= _cut(best):
+                break
             scores[pos] = _spectral_score(m, state, rows[pos], cols[pos], ws[pos])
             best = min(best, scores[pos])
     return scores

@@ -57,9 +57,36 @@ def test_exit_codes(tmp_path, k3_file):
     huge.write_text(json.dumps({"n": 1_000_000, "edges": []}))
     out = run_cli("measure", str(huge), "--measure", "zeta:q=1")
     assert out.returncode == 3 and "Traceback" not in out.stderr
+    # Too few links to connect 10^12 nodes: refused before any n-sized allocation.
+    huge.write_text(json.dumps({"n": 10**12, "edges": [[0, 1, 1.0]]}))
+    out = run_cli("measure", str(huge), "--measure", "zeta:q=1")
+    assert out.returncode == 3 and "Traceback" not in out.stderr
 
     assert run_cli("measure", k3_file, "--measure", "zeta:q=0.2").returncode == 4
     assert run_cli("measure", k3_file, "--measure", "bogus").returncode == 4
+
+
+@pytest.mark.parametrize("graph, links", [
+    ('{"n": "abc", "edges": [[0, 1, 1.0]]}', None),
+    ('{"n": null, "edges": [[0, 1, 1.0]]}', None),
+    ('{"n": 1e400, "edges": [[0, 1, 1.0]]}', None),
+    ('{"n": 2.9, "edges": [[0, 1, 1.0]]}', None),
+    ('{"n": 3, "edges": [[0, 1.5, 1.0], [1, 2, 1.0]]}', None),
+    (K3_JSON, [[-1, 1, 1.0]]),
+    (K3_JSON, [[0, 2.7, 1.0]]),
+], ids=["n-abc", "n-null", "n-1e400", "n-2.9", "id-1.5", "candidate-id--1", "candidate-id-2.7"])
+def test_malformed_links_exit_2(tmp_path, graph, links):
+    """Node counts and ids must be integers in range: no truncation, no wrap."""
+    gpath = tmp_path / "g.json"
+    gpath.write_text(graph)
+    if links is None:
+        out = run_cli("measure", str(gpath), "--measure", "zeta:q=1")
+    else:
+        cands = tmp_path / "c.json"
+        cands.write_text(json.dumps({"links": links}))
+        out = run_cli("grow", str(gpath), str(cands), "--measure", "zeta:q=1", "-k", "1")
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
 
 
 def test_grow_writes_record_and_csv(tmp_path, k3_file):

@@ -113,6 +113,28 @@ def test_parse_rejects_bad_input():
         sg.parse_graph(json.dumps({"n": 3, "edges": [[0, 1, 1.0], [1, 0, 1.0]]}))
 
 
+@pytest.mark.parametrize("count, node, ok", [
+    ("3", "0", True), ("4", "3", True),
+    ("3.0", "0", False), ("2.9", "0", False), ("1e400", "0", False), ("abc", "0", False),
+    ("null", "0", False), ("true", "0", False), ("1", "0", False),
+    ("4", "1.5", False), ("4", "3.0", False), ("4", "-1", False), ("4", "4", False),
+    ("4", "true", False), ("4", "1e400", False), ("4", "2", False),
+])
+def test_json_and_text_formats_agree(count, node, ok):
+    """The same count and node id token is accepted, or refused, by both formats."""
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except sg.GraphFormatError:
+            return "rejected"
+
+    as_json = outcome(sg.graphs.parse_graph_json,
+                      f'{{"n": {count}, "edges": [[0, 1, 1.0], [2, {node}, 1.0]]}}')
+    as_text = outcome(sg.graphs.parse_graph_text, f"n {count}\n0 1 1.0\n2 {node} 1.0\n")
+    assert as_json == as_text
+    assert (as_json != "rejected") == ok
+
+
 def test_laplacian_matrix_shape():
     L = k3().laplacian()
     assert np.allclose(L, [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])

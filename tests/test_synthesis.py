@@ -53,7 +53,8 @@ def test_candidate_set_json_round_trip():
 
 def test_closed_form_deltas_match_full_recompute():
     rng = np.random.default_rng(71)
-    z1, z2, vol = (sg.parse_measure(t) for t in ("zeta:q=1", "zeta:q=2", "volume"))
+    z1, z2, vol, mq1 = (sg.parse_measure(t)
+                        for t in ("zeta:q=1", "zeta:q=2", "volume", "mq:q=1"))
     for _ in range(30):
         n = int(rng.integers(4, 16))
         g = random_connected(rng, n)
@@ -72,6 +73,9 @@ def test_closed_form_deltas_match_full_recompute():
 
         dv = full_recompute_value(vol, np.asarray(s.matrix)) - full_recompute_value(vol, L_new)
         assert sg.closed_form_delta(vol, s, (i, j), w) == pytest.approx(dv, rel=1e-9, abs=1e-12)
+
+        dm = full_recompute_value(mq1, np.asarray(s.matrix)) - full_recompute_value(mq1, L_new)
+        assert sg.closed_form_delta(mq1, s, (i, j), w) == pytest.approx(dm, rel=1e-9, abs=1e-12)
 
 
 def test_closed_form_delta_unsupported():
@@ -236,6 +240,22 @@ def test_greedy_spectral_scores_exact_at_extreme_weights():
             assert res.values[1] == pytest.approx(ref, rel=1e-13, abs=0.0), (spec, i, j)
 
 
+def test_greedy_mq1_lowers_by_twice_each_weight():
+    """mq:q=1 is -tr L: greedy takes the heaviest links, each lowering the
+    value by exactly 2w, also beside a 1e8 link."""
+    rng = np.random.default_rng(23)
+    m = sg.parse_measure("mq:q=1")
+    for _ in range(5):
+        n = int(rng.integers(5, 20))
+        g = random_connected(rng, n)
+        s = sg.build_laplacian(g.with_edge(next(iter(g.edges)), 1e8))
+        c = random_candidates(rng, n, 10)
+        res = sg.greedy(s, c, 4, m)
+        assert list(res.chosen) == sorted(c.links, key=lambda link: -link[1])[:4]
+        for (_, w), before, after in zip(res.chosen, res.values, res.values[1:]):
+            assert after == before - 2.0 * w
+
+
 def full_scan_greedy(state, candidates, k, m):
     """Reference greedy: every remaining candidate scored exactly at every step."""
     from specgrow.synthesis import (_argmin_lex, _initial_value, _link_arrays,
@@ -258,7 +278,7 @@ def full_scan_greedy(state, candidates, k, m):
 def pruning_suite(state):
     """The measures greedy scores with bound pruning, gamma around its threshold."""
     lam2 = float(state.eigvals[1])
-    specs = ("tau:t=1", "zeta:q=3", "hp:p=3", "mq:q=0.5", "mq:q=0", "mq:q=1",
+    specs = ("tau:t=1", "zeta:q=3", "hp:p=3", "mq:q=0.5", "mq:q=0", "mq:q=0.9",
              "hankel", "zeta:q=inf", "hp:p=inf")
     return [sg.parse_measure(t) for t in specs] + [
         sg.MeasureSpec("gamma", g / lam2) for g in (1.0000001, 1.0, 0.5, 10.0)]
@@ -280,7 +300,7 @@ def test_pruned_greedy_equals_full_scan():
         triples = [(i, j, w) for (i, j), w in random_candidates(rng, n, 12).links]
         for scale in (1e-8, 1.0, 1e8):  # the bound is nearly tight at 1e-8
             check(s, sg.CandidateSet.from_triples([(i, j, scale * w) for i, j, w in triples]), 4)
-        # a 1e8 link: scores and bounds round apart by up to 3e-7 relative (mq:q=1)
+        # a 1e8 link: scores and bounds round apart by up to 3e-7 relative
         g = random_connected(rng, n)
         s = sg.build_laplacian(g.with_edge(next(iter(g.edges)), 1e8))
         check(s, random_candidates(rng, n, 12), 4)
@@ -293,7 +313,7 @@ def test_pruned_greedy_equals_full_scan():
     n = max(synthesis.BLOCKS) + 12
     s = sg.build_laplacian(random_connected(rng, n))
     triples = [(i, j, w) for (i, j), w in random_candidates(rng, n, 3 * synthesis.CHUNK).links]
-    specs = ("tau:t=1", "zeta:q=3", "hankel", "mq:q=1")
+    specs = ("tau:t=1", "zeta:q=3", "hankel", "mq:q=0.9")
     suite = lambda s: ([sg.parse_measure(t) for t in specs]
                        + [sg.MeasureSpec("gamma", 1.0000001 / float(s.eigvals[1]))])
     for scale in (1e-8, 1.0, 1e8):
