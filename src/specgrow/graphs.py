@@ -91,18 +91,22 @@ class WeightedGraph:
     edges: dict[Edge, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        n = _integer(self.n, "node count")
+        self._read(self.n, ((i, j, w) for (i, j), w in self.edges.items()))
+
+    def _read(self, n, triples) -> None:
+        n = _integer(n, "node count")
         if n < 2:
             raise GraphFormatError(f"need at least 2 nodes, got {n}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", read_links(
-            ((i, j, w) for (i, j), w in self.edges.items()), n))
+        object.__setattr__(self, "edges", read_links(triples, n))
 
     @classmethod
     def from_edge_list(cls, n: int, links: Iterable[tuple[int, int, float]]) -> WeightedGraph:
-        # Read once before the links become dict keys, where a pair listed
-        # twice would silently collapse; the constructor then range-checks.
-        return cls(n, read_links(links))
+        # One read of the triples, before they become dict keys (where a pair
+        # listed twice would collapse); the constructor would read them again.
+        graph = object.__new__(cls)
+        graph._read(n, links)
+        return graph
 
     def weight(self, i: int, j: int) -> float:
         """Weight of edge {i, j}, or 0.0 when absent."""

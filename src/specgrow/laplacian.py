@@ -6,8 +6,10 @@ holding the Laplacian L and the powers of its Moore-Penrose pseudo-inverse
 (m = 1, 2, 3) read so far, each computed on first read.  Adding an edge
 carries P^1..P^top, where the caller names top, by an O(n^2)
 Sherman-Morrison downdate; any other power of the grown state is computed
-from a fresh eigendecomposition when it is read.  Effective resistances, the
-graph itself and, after a downdate, the eigendecomposition are computed
+from a fresh eigendecomposition when it is read.  :func:`downdate_factors`
+writes that downdate once, for this engine and for the closed-form greedy,
+which applies it to candidate resistances alone.  Effective resistances,
+the graph itself and, after a downdate, the eigendecomposition are computed
 lazily, only when something reads them.
 """
 
@@ -28,6 +30,27 @@ def pair_form(M: np.ndarray, rows, cols):
     """
     d = np.diag(M)
     return d[rows] + d[cols] - 2.0 * M[rows, cols]
+
+
+def downdate_factors(apply, u: np.ndarray, c: float, top: int):
+    """Factors of the rank-one downdate of the pseudo-inverse powers P^1..P^top.
+
+    With u = P(e_i - e_j) and c = (1/w + r_e(L))^-1, adding w L_e downdates P
+    to P - c u u^T, and P^m to P^m - X C_m X^T with X = [u, Pu, P^2 u][:, :top];
+    apply(x) is the product P x.  Returns X and the cores C[m - 1] = C_m,
+    each top x top and zero outside its leading m x m block.
+    """
+    krylov = [u]
+    while len(krylov) < top:
+        krylov.append(apply(krylov[-1]))
+    X = np.array(krylov).T  # column-major: X[:, :m], so Q_m, ignores the other powers
+    # The core is Hankel: C[s, t] = g[m-1-s-t] for s + t < m, else 0, where g[k]
+    # sums the terms with k+1 factors c u u^T; h = r_e(L^2), r_e(L^3), ...
+    h = [float(u @ v) for v in krylov]
+    g = (c, -c * c * h[0], c * c * (c * h[0] * h[0] - h[1]) if len(h) > 1 else 0.0)
+    cores = np.array([[[g[m - 1 - s - t] if s + t < m else 0.0 for t in range(top)]
+                       for s in range(top)] for m in range(1, top + 1)])
+    return X, cores
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -123,10 +146,9 @@ class LaplacianState:
     def with_edge(self, edge: Edge, weight: float, top: int = 1) -> LaplacianState:
         """State for L + w*L_e carrying P^1..P^top, updated in O(n^2) per power.
 
-        With u = P(e_i - e_j) and c = (1/w + r_e(L))^-1, P downdates to
-        P - c u u^T; each power m <= top is read here (computed if this state
-        does not hold it) and carried by one correction P^m - X C X^T with
-        X = [u, Pu, P^2 u][:, :m].  The new state holds no other power.
+        Each power m <= top is read here (computed if this state does not
+        hold it) and carried by one correction P^m - X C_m X^T, the factors of
+        :func:`downdate_factors`.  The new state holds no other power.
         """
         i, j = canonical_edge(*edge)
         w = float(weight)
@@ -138,19 +160,10 @@ class LaplacianState:
         P1 = np.asarray(self.pinv_power(1))
         u = P1[:, i] - P1[:, j]
         c = 1.0 / (1.0 / w + float(pair_form(P1, i, j)))
-        krylov = [u]
-        while len(krylov) < top:
-            krylov.append(P1 @ krylov[-1])
-        X = np.array(krylov).T  # column-major: X[:, :m], so Q_m, ignores the other powers
-        # The core is Hankel: C[s, t] = g[m-1-s-t] for s + t < m, else 0, where g[k]
-        # sums the terms with k+1 factors c u u^T; h = r_e(L^2), r_e(L^3), ...
-        h = [float(u @ v) for v in krylov]
-        g = (c, -c * c * h[0], c * c * (c * h[0] * h[0] - h[1]) if len(h) > 1 else 0.0)
+        X, cores = downdate_factors(lambda x: P1 @ x, u, c, top)
         pinv = {}
         for m in range(1, top + 1):
-            C = np.array([[g[m - 1 - s - t] if s + t < m else 0.0 for t in range(m)]
-                          for s in range(m)])
-            Q = (X[:, :m] @ C) @ X[:, :m].T
+            Q = (X[:, :m] @ cores[m - 1, :m, :m]) @ X[:, :m].T
             pinv[m] = np.subtract(self.pinv_power(m), Q, out=Q)
 
         L = np.array(self.matrix)

@@ -7,10 +7,12 @@ candidate link set:
   full eigendecomposition (the reference answer on small instances).
 * :func:`greedy` - picks the single best link k times.  For the zeta:q=1,
   zeta:q=2, volume and mq:q=1 measures each candidate is scored in O(1) from
-  its weight and effective resistances, read off the pseudo-inverse powers;
-  every other measure is scored from the spectrum of the rank-one-downdated
-  pseudo-inverse, and only where a per-step lower bound cannot rule the
-  candidate out (see :func:`greedy`).
+  its weight and effective resistances, which greedy carries across picks
+  by rank-one updates of the p resistances alone (no grown state, no power
+  of the pseudo-inverse beyond the root's P); every other measure is scored
+  from the spectrum of the rank-one-downdated pseudo-inverse, and only
+  where a per-step lower bound cannot rule the candidate out (see
+  :func:`greedy`).
 * :func:`linearized` - one gradient of the measure, then the k candidates
   with the largest first-order improvement in a single pass.
 
@@ -36,7 +38,8 @@ import numpy as np
 from .errors import (CombinatorialBlowup, GraphFormatError, InvalidParameter,
                      UnsupportedMeasure)
 from .graphs import Edge, add_link, canonical_edge, load_json, read_links
-from .laplacian import LaplacianState, downdated_inverse_spectrum, pair_form
+from .laplacian import (LaplacianState, downdate_factors, downdated_inverse_spectrum,
+                        pair_form)
 from .measures import MeasureSpec, companion_value, evaluate, gradient, spectral_value
 
 TIE_REL = 1e-12
@@ -54,8 +57,9 @@ SLACK = 1e-6
 # 0.33 ms a link, against 2.2 ms for an exact score), then scores 2 links.
 BLOCKS = (32, 128)
 CHUNK = 16
-# Links bounded in one pass: their (ROWS, n) temporaries stay near 300 KB each
-# at n = 300, where all 1,000 candidates at once raised peak memory by 10 MiB.
+# Links bounded, or given their root resistances, in one pass: their (ROWS, n)
+# temporaries stay near 300 KB each at n = 300, where all 1,000 candidates at
+# once raised peak memory by 10 MiB.
 ROWS = 128
 
 
@@ -139,9 +143,10 @@ class _ClosedForm(NamedTuple):
     transform: Callable  # statistic -> measure value
 
 
-# Measures whose post-addition value follows in O(1) from the effective
-# resistances r[q] of the link under P^q, q = 1..top, with
-# c = (1/w + r[1])^-1.  A grown state carries only P^1..P^top.
+# Measures whose post-addition value follows in O(1) from the weight w of the
+# link and its effective resistances r[q] under P^q, q = 1..top, with
+# c = (1/w + r[1])^-1.  Greedy carries only these p resistances across picks
+# (see _Resistances), never a grown state; top = 0 reads none.
 _CLOSED_FORMS = {
     MeasureSpec("zeta", 1.0): _ClosedForm(1, 2, lambda w, c, r: c * r[2], lambda s: s),
     MeasureSpec("zeta", 2.0): _ClosedForm(
@@ -150,20 +155,25 @@ _CLOSED_FORMS = {
     MeasureSpec("volume"): _ClosedForm(None, 1, lambda w, c, r: np.log1p(r[1] * w),
                                        lambda s: s),
     # mq:q=1 is -tr L, which a link of weight w lowers by exactly 2w.
-    MeasureSpec("mq", 1.0): _ClosedForm(None, 1, lambda w, c, r: 2.0 * w, lambda s: s),
+    MeasureSpec("mq", 1.0): _ClosedForm(None, 0, lambda w, c, r: 2.0 * w, lambda s: s),
 }
 
 
 def _top(m: MeasureSpec) -> int:
-    """Highest pseudo-inverse power scoring m reads; spectral scoring reads P^1."""
+    """Highest pseudo-inverse power a grown state carries to score m: P^1 at
+    least, which every rank-one update reads."""
     form = _CLOSED_FORMS.get(m)
-    return 1 if form is None else form.top
+    return 1 if form is None else max(form.top, 1)
 
 
-def _drop(form: _ClosedForm, state: LaplacianState, rows, cols, ws):
-    """Decrease of the form's statistic for the links (rows, cols) at weights ws."""
-    r = {q: pair_form(state.pinv_power(q), rows, cols) for q in range(1, form.top + 1)}
-    return form.drop(ws, 1.0 / (1.0 / ws + r[1]), r)
+def _resistances(form: _ClosedForm, state: LaplacianState, rows, cols) -> dict:
+    """Resistances r[q] of the links (rows, cols) under the state's P^q, q = 1..top."""
+    return {q: pair_form(state.pinv_power(q), rows, cols) for q in range(1, form.top + 1)}
+
+
+def _drop(form: _ClosedForm, ws, r: dict):
+    """Decrease of the form's statistic for links at weights ws with resistances r."""
+    return form.drop(ws, 1.0 / (1.0 / ws + r[1]) if form.top else None, r)
 
 
 def closed_form_delta(m: MeasureSpec, state: LaplacianState, edge: Edge, weight: float) -> float:
@@ -178,14 +188,7 @@ def closed_form_delta(m: MeasureSpec, state: LaplacianState, edge: Edge, weight:
     if form is None:
         raise UnsupportedMeasure(f"no resistance closed form for {m.label}")
     i, j = canonical_edge(*edge)
-    return float(_drop(form, state, i, j, float(weight)))
-
-
-def _initial_value(m: MeasureSpec, state: LaplacianState) -> float:
-    form = _CLOSED_FORMS.get(m)
-    if form is None or form.power is None:
-        return evaluate(m, state)
-    return float(form.transform(np.trace(state.pinv_power(form.power))))
+    return float(_drop(form, float(weight), _resistances(form, state, i, j)))
 
 
 def _link_arrays(links: Iterable[tuple[Edge, float]]) -> tuple[np.ndarray, ...]:
@@ -210,7 +213,7 @@ def _score_candidates(m: MeasureSpec, state: LaplacianState, links: tuple[np.nda
         return np.array([_spectral_score(m, state, i, j, w)
                          for i, j, w in zip(rows.tolist(), cols.tolist(), ws.tolist())])
     stat = current if form.power is None else float(np.trace(state.pinv_power(form.power)))
-    return form.transform(stat - _drop(form, state, rows, cols, ws))
+    return form.transform(stat - _drop(form, ws, _resistances(form, state, rows, cols)))
 
 
 def _first_order(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarray, ...],
@@ -306,6 +309,82 @@ def _pruned_scores(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarra
     return scores
 
 
+class _Resistances:
+    """Greedy's closed-form scores, carried across picks without a grown state.
+
+    For the graph grown so far, with pseudo-inverse P, column q - 1 of R holds
+    each candidate's resistance under P^q, q = 1..top, and `stat` the form's
+    statistic.  At the root both come from the spectrum:
+    r_q = sum_k z_k^2 lambda_k^-q with z = V^T (e_i - e_j), and
+    tr P^q = sum_k lambda_k^-q, so no power of P is formed.  A pick downdates
+    P^q by X C_q X^T (:func:`downdate_factors`), which lowers every r_q by the
+    pair form of X C_q X^T and tr P^q by its trace: O(p top^2) after the
+    top - 1 products with P that build X.  A product with P is
+    P0 x - U (c * U^T x), with P0 the root's pseudo-inverse and U, c the u
+    vectors and coefficients of the picks so far; once U holds ceil(n/2)
+    columns such a product costs what a dense one does, so the chain is
+    folded into P0.
+    """
+
+    def __init__(self, form: _ClosedForm, state: LaplacianState,
+                 links: tuple[np.ndarray, ...], value: float):
+        self.form, self.root = form, state
+        self.rows, self.cols, self.ws = links
+        W = state.nonzero_eigvals[:, None] ** -np.arange(1.0, form.top + 1.0)
+        self.stat = value if form.power is None else float(np.sum(W[:, form.power - 1]))
+        self.R = np.empty((self.rows.size, form.top))
+        if form.top:
+            V = state.eigvecs[:, 1:]
+            for start in range(0, self.rows.size, ROWS):
+                part = slice(start, start + ROWS)
+                self.R[part] = np.square(V[self.rows[part]] - V[self.cols[part]]) @ W
+        self.P = None  # P0, read at the first pick
+
+    def scores(self, idx: np.ndarray) -> np.ndarray:
+        """Post-addition measure value of each candidate idx."""
+        R = self.R[idx]
+        r = {q: R[:, q - 1] for q in range(1, self.form.top + 1)}
+        return self.form.transform(self.stat - _drop(self.form, self.ws[idx], r))
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        out = self.P @ x
+        if self.picks:
+            U, c = self.U[:, :self.picks], self.c[:self.picks]
+            out -= U @ (c * (U.T @ x))
+        return out
+
+    def add(self, link: int, value: float) -> None:
+        """Add candidate `link`, whose score was `value`."""
+        i, j, w = int(self.rows[link]), int(self.cols[link]), float(self.ws[link])
+        top, power = self.form.top, self.form.power
+        if power is None:  # the statistic is the value itself
+            self.stat = value
+        if not top:
+            return
+        if self.P is None:
+            n = self.root.n
+            self.P = np.asarray(self.root.pinv_power(1))
+            self.U, self.c, self.picks = np.empty((n, (n + 1) // 2)), np.empty((n + 1) // 2), 0
+        u = self.P[:, i] - self.P[:, j]
+        if self.picks:
+            U, c = self.U[:, :self.picks], self.c[:self.picks]
+            u -= U @ (c * (U[i] - U[j]))
+        coef = 1.0 / (1.0 / w + self.R[link, 0])
+        X, cores = downdate_factors(self._product, u, coef, top)
+        if power is not None:
+            self.stat -= float(np.sum(cores[power - 1] * (X.T @ X)))
+        # Each r_q drops by y^T C_q y, y = X^T (e_i - e_j) a row of Y; picked
+        # candidates are updated too, and nothing reads them again.
+        Y = X[self.rows] - X[self.cols]
+        self.R -= (Y[:, :, None] * Y[:, None, :]).reshape(Y.shape[0], -1) @ \
+            cores.reshape(top, -1).T
+        self.U[:, self.picks], self.c[self.picks] = u, coef
+        self.picks += 1
+        if self.picks == self.U.shape[1]:
+            self.P = self.P - (self.U * self.c) @ self.U.T
+            self.picks = 0
+
+
 def _argmin_lex(scores) -> tuple[int, int]:
     """Lex-smallest index within TIE_REL of the minimum, and how many other
     indices share that band.  An infinite minimum ties only with itself."""
@@ -329,7 +408,12 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
            m: MeasureSpec) -> SynthesisResult:
     """Add the best single link k times.
 
-    The state is updated rank-one between picks only: k - 1 updates in all.
+    Closed-form measures grow no state: each candidate's resistances under
+    P^1..P^top are read off the root's spectrum and, between picks, lowered
+    by the pair form of the pick's rank-one downdate (:class:`_Resistances`),
+    so a pick costs top - 1 products of P with a vector plus O(p top^2).
+    Every other measure updates the state rank-one between picks only: k - 1
+    updates in all.  Set-up time is attributed to the first step of `elapsed`.
 
     Measures without a closed form are scored exactly only where a lower
     bound on the post-addition value does not rule the candidate out.  In
@@ -349,27 +433,33 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
     spectrum: one eigendecomposition per grown state.
     """
     _check_instance(state, candidates, k)
+    t0 = perf_counter()
     links = _link_arrays(candidates.links)
+    form = _CLOSED_FORMS.get(m)
+    values = [evaluate(m, state)]
+    carried = None if form is None else _Resistances(form, state, links, values[0])
     remaining = np.arange(candidates.p)
-    values = [_initial_value(m, state)]
     chosen: list[tuple[Edge, float]] = []
     elapsed: list[float] = []
     tie_breaks = 0
 
     for step in range(k):
-        t0 = perf_counter()
-        if m in _CLOSED_FORMS:
-            scores = _score_candidates(m, state, links, remaining, values[-1])
-        else:
+        if carried is None:
             scores = _pruned_scores(m, state, links, remaining)
+        else:
+            scores = carried.scores(remaining)
         pick, ties = _argmin_lex(scores)
         tie_breaks += ties
-        chosen.append(candidates.links[remaining[pick]])
-        remaining = np.delete(remaining, pick)
+        link, remaining = remaining[pick], np.delete(remaining, pick)
+        chosen.append(candidates.links[link])
         if step + 1 < k:
-            state = state.with_edge(*chosen[-1], _top(m))
+            if carried is None:
+                state = state.with_edge(*chosen[-1])
+            else:
+                carried.add(link, float(scores[pick]))
         values.append(float(scores[pick]))
         elapsed.append(perf_counter() - t0)
+        t0 = perf_counter()
 
     return SynthesisResult("greedy", tuple(chosen), tuple(values), tuple(elapsed), tie_breaks)
 
@@ -403,7 +493,7 @@ def brute_force(state: LaplacianState, candidates: CandidateSet, k: int,
     best_subset = next(islice(combinations(candidates.links, k), pick, None))
     search_time = perf_counter() - t0
 
-    values = [_initial_value(m, state)]
+    values = [evaluate(m, state)]
     elapsed = []
     for step in range(1, k + 1):
         t1 = perf_counter()
@@ -430,7 +520,7 @@ def linearized(state: LaplacianState, candidates: CandidateSet, k: int,
     tie_breaks = _argmin_lex(changes[order[k - 1:]])[1] if k else 0
     select_time = perf_counter() - t0
 
-    values = [_initial_value(m, state)]
+    values = [evaluate(m, state)]
     elapsed = []
     for step in range(k):
         t1 = perf_counter()

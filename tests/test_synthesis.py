@@ -257,12 +257,12 @@ def test_greedy_mq1_lowers_by_twice_each_weight():
 
 
 def full_scan_greedy(state, candidates, k, m):
-    """Reference greedy: every remaining candidate scored exactly at every step."""
-    from specgrow.synthesis import (_argmin_lex, _initial_value, _link_arrays,
-                                    _score_candidates, _top)
+    """Reference greedy: every remaining candidate scored exactly at every step,
+    on a state grown by with_edge."""
+    from specgrow.synthesis import _argmin_lex, _link_arrays, _score_candidates, _top
     links = _link_arrays(candidates.links)
     remaining = np.arange(candidates.p)
-    chosen, values, tie_breaks = [], [_initial_value(m, state)], 0
+    chosen, values, tie_breaks = [], [sg.evaluate(m, state)], 0
     for step in range(k):
         scores = _score_candidates(m, state, links, remaining, values[-1])
         pick, ties = _argmin_lex(scores)
@@ -272,7 +272,7 @@ def full_scan_greedy(state, candidates, k, m):
         if step + 1 < k:
             state = state.with_edge(*chosen[-1], _top(m))
         values.append(float(scores[pick]))
-    return repr(tuple(chosen)), repr(tuple(values)), tie_breaks
+    return tuple(chosen), tuple(values), tie_breaks
 
 
 def pruning_suite(state):
@@ -290,8 +290,9 @@ def test_pruned_greedy_equals_full_scan():
     def check(s, c, k, suite=pruning_suite):
         for m in suite(s):
             res = sg.greedy(s, c, k, m)
-            got = (repr(res.chosen), repr(res.values), res.tie_breaks)
-            assert got == full_scan_greedy(s, c, k, m), (m.label, k)
+            chosen, values, tie_breaks = full_scan_greedy(s, c, k, m)
+            assert (repr(res.chosen), repr(res.values), res.tie_breaks) == \
+                (repr(chosen), repr(values), tie_breaks), (m.label, k)
 
     rng = np.random.default_rng(157)
     for _ in range(6):
@@ -318,6 +319,43 @@ def test_pruned_greedy_equals_full_scan():
                        + [sg.MeasureSpec("gamma", 1.0000001 / float(s.eigvals[1]))])
     for scale in (1e-8, 1.0, 1e8):
         check(s, sg.CandidateSet.from_triples([(i, j, scale * w) for i, j, w in triples]), 3, suite)
+
+
+def test_carried_resistances_match_grown_states():
+    """Closed-form greedy, which carries candidate resistances, against scoring
+    every candidate on a state grown by with_edge: the same picks and
+    tie_breaks, values within 1e-12 relative."""
+    from specgrow import synthesis
+    specs = ("zeta:q=1", "zeta:q=2", "volume", "mq:q=1")
+
+    def check(s, c, k):
+        for spec in specs:
+            m = sg.parse_measure(spec)
+            res = sg.greedy(s, c, k, m)
+            chosen, values, tie_breaks = full_scan_greedy(s, c, k, m)
+            assert (res.chosen, res.tie_breaks) == (chosen, tie_breaks), (spec, k)
+            np.testing.assert_allclose(res.values, values, rtol=1e-12, atol=1e-12,
+                                       err_msg=f"{spec} k={k}")
+
+    assert all(synthesis._CLOSED_FORMS.get(sg.parse_measure(t)) for t in specs)
+    rng = np.random.default_rng(163)
+    for _ in range(6):
+        n = int(rng.integers(6, 16))
+        s = sg.build_laplacian(random_connected(rng, n))
+        triples = [(i, j, w) for (i, j), w in random_candidates(rng, n, 12).links]
+        for scale in (1e-8, 1.0, 1e8):
+            check(s, sg.CandidateSet.from_triples([(i, j, scale * w) for i, j, w in triples]), 4)
+        g = random_connected(rng, n)
+        s = sg.build_laplacian(g.with_edge(next(iter(g.edges)), 1e8))
+        check(s, random_candidates(rng, n, 12), 4)
+    for g in (k4(), ring_graph(6), ring_graph(8), path_graph(5)):
+        s = sg.build_laplacian(g)
+        for k in (1, 3, 5):
+            check(s, sg.CandidateSet.complete(g.n), k)
+    # every candidate added: the chain of picks is folded at ceil(n/2) = 5 columns
+    s = sg.build_laplacian(random_connected(rng, 9))
+    c = random_candidates(rng, 9, 30)
+    check(s, c, c.p)
 
 
 def test_greedy_prunes_candidates_a_bound_rules_out(monkeypatch):
@@ -461,6 +499,8 @@ def test_linearized_rejects_nondifferentiable():
 
 
 def test_solvers_update_the_state_only_between_picks(monkeypatch):
+    """k - 1 grown states for k picks; closed-form greedy grows none, as it
+    carries the candidates' resistances instead."""
     calls = []
     with_edge = sg.LaplacianState.with_edge
 
@@ -471,16 +511,17 @@ def test_solvers_update_the_state_only_between_picks(monkeypatch):
     monkeypatch.setattr(sg.LaplacianState, "with_edge", counting)
     s = sg.build_laplacian(path_graph(6))
     c = sg.CandidateSet.complete(6, weight=0.5)
-    for solver in (sg.greedy, sg.linearized):
-        for k, expected in ((1, 0), (3, 2)):
+    for solver, spec, grows in ((sg.greedy, "tau:t=1", True), (sg.linearized, "zeta:q=1", True),
+                                (sg.greedy, "zeta:q=1", False)):
+        for k in (1, 3):
             calls.clear()
-            solver(s, c, k, sg.parse_measure("zeta:q=1"))
-            assert len(calls) == expected, solver.__name__
+            solver(s, c, k, sg.parse_measure(spec))
+            assert len(calls) == (k - 1 if grows else 0), (solver.__name__, spec)
 
 
 def test_greedy_does_not_depend_on_powers_read_earlier(monkeypatch):
-    """A root that zeta:q=2 left holding P1-P3 gives the same runs as a fresh one,
-    and its grown states carry only the powers each measure reads."""
+    """A root that earlier runs left holding P1-P3 gives the same runs as a fresh
+    one, and its grown states carry only the powers each measure reads."""
     held = []
     with_edge = sg.LaplacianState.with_edge
 
@@ -494,13 +535,16 @@ def test_greedy_does_not_depend_on_powers_read_earlier(monkeypatch):
     cands = random_candidates(rng, 40, 60)
     shared = sg.build_laplacian(g)
     sg.greedy(shared, cands, 8, sg.parse_measure("zeta:q=2"))
+    assert sorted(shared._pinv) == [1]  # closed-form greedy forms no P^2 or P^3
+    sg.linearized(shared, cands, 8, sg.parse_measure("zeta:q=2"))
     assert sorted(shared._pinv) == [1, 2, 3]
     monkeypatch.setattr(sg.LaplacianState, "with_edge", recording)
-    for spec, powers in (("volume", [1]), ("zeta:q=1", [1, 2]), ("tau:t=1", [1])):
+    # closed-form greedy grows no state
+    for spec, powers, grown in (("volume", [1], 0), ("zeta:q=1", [1, 2], 0), ("tau:t=1", [1], 7)):
         m = sg.parse_measure(spec)
         held.clear()
         after = sg.greedy(shared, cands, 8, m)
-        assert held == [powers] * 7, spec
+        assert held == [powers] * grown, spec
         held.clear()
         sg.linearized(shared, cands, 8, m)
         assert held == [powers] * 7, spec
