@@ -11,10 +11,11 @@ candidate link set:
   by rank-one updates of the p resistances alone (no grown state, no power
   of the pseudo-inverse beyond the root's P); every other measure is scored
   from the spectrum of the rank-one-downdated pseudo-inverse, and only
-  where a per-step lower bound cannot rule the candidate out (see
-  :func:`greedy`).
+  where a per-step lower bound cannot rule the candidate out; a bound is
+  tightened only while it is the lowest one pending (see :func:`greedy`).
 * :func:`linearized` - one gradient of the measure, then the k candidates
-  with the largest first-order improvement in a single pass.
+  with the largest first-order improvement in a single pass, their values
+  read as greedy reads them (carried resistances for the closed forms).
 
 All tie-breaking is deterministic.  Greedy and brute force share one rule:
 the pick is the lex-smallest candidate within 1e-12 relative of the minimum
@@ -27,6 +28,7 @@ pick.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice
@@ -51,10 +53,11 @@ TIE_REL = 1e-12
 # before that measure moved to a closed form (which greedy does not prune).
 SLACK = 1e-6
 # Greedy's bounds after the diagonal one: pinchings that couple the 32, then
-# the 128, eigen-directions a link moves most (see _pinched_bounds), for CHUNK
-# links at a time.  A grow-spectral-n300 solve (n = 300, p = 1,000, k = 2)
-# computes the first for 32-79 links and the second for 32-35 (0.03 and
-# 0.33 ms a link, against 2.2 ms for an exact score), then scores 2 links.
+# the 128, eigen-directions a link moves most (see _pinched_bounds), tightened
+# for up to CHUNK of the lowest pending links at a time.  A grow-spectral-n300
+# solve (n = 300, p = 1,000, k = 2) computes the first for 32-79 links and the
+# second for 4-20 (0.03 and 0.33 ms a link, against 2.2 ms for an exact
+# score), then scores 2 links.
 BLOCKS = (32, 128)
 CHUNK = 16
 # Links bounded, or given their root resistances, in one pass: their (ROWS, n)
@@ -157,13 +160,6 @@ _CLOSED_FORMS = {
     # mq:q=1 is -tr L, which a link of weight w lowers by exactly 2w.
     MeasureSpec("mq", 1.0): _ClosedForm(None, 0, lambda w, c, r: 2.0 * w, lambda s: s),
 }
-
-
-def _top(m: MeasureSpec) -> int:
-    """Highest pseudo-inverse power a grown state carries to score m: P^1 at
-    least, which every rank-one update reads."""
-    form = _CLOSED_FORMS.get(m)
-    return 1 if form is None else max(form.top, 1)
 
 
 def _resistances(form: _ClosedForm, state: LaplacianState, rows, cols) -> dict:
@@ -275,42 +271,46 @@ def _pruned_scores(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarra
     """Exact scores of the links idx that the lower bounds cannot rule out;
     the rest read inf.
 
-    Links are taken CHUNK at a time in ascending diagonal-bound order.  In a
-    chunk, each BLOCKS bound in turn is computed for the links whose last
-    bound passes the best score's cut; the survivors are scored in ascending
-    order of their last bound (ties by index) up to the first whose bound is
-    above the cut.  The cut only falls, so no later chunk could score the
-    rest.  The walk ends at the first chunk whose lowest diagonal bound is
-    above the cut.
+    A best-first walk over a heap of (bound, position, level) entries.
+    Level 0 is the diagonal bound of every link; level l in 1..len(BLOCKS)
+    is the BLOCKS[l - 1] pinching, up to the first block of every direction.
+    While the lowest pending bound is within the best score's cut, either
+    that entry is at the deepest level and its link is scored exactly, or
+    it and the entries after it, lowest first while they are at its level
+    and within the cut, up to CHUNK in all, get their next bound.  A bound
+    is tightened, or a link scored, only while it is the lowest pending and
+    could still tie the best score; the cut only falls, so the walk ends
+    with every link left unscored above it.
     """
     rows, cols, ws = (a[idx].tolist() for a in links)
     scores = np.full(idx.size, math.inf)
     best = math.inf
+    deepest = next((level for level, block in enumerate(BLOCKS, 1) if block >= state.n - 1),
+                   len(BLOCKS))
     if idx.size > CHUNK:
         diagonal = _pinched_bounds(m, state, links, idx, 0)
-    else:  # one chunk, which the diagonal bound would neither order nor filter
+    else:  # one batch, which the diagonal bound would neither order nor filter
         diagonal = np.full(idx.size, -math.inf)
-    order = np.argsort(diagonal, kind="stable")
-    for start in range(0, idx.size, CHUNK):
-        chunk = order[start:start + CHUNK]
-        bounds = diagonal[chunk]
-        if not bounds[0] <= _cut(best):
-            break
-        for block in BLOCKS:
-            chunk = chunk[bounds <= _cut(best)]
-            bounds = _pinched_bounds(m, state, links, idx[chunk], block)
-            if block >= state.n - 1:  # one block of every direction: no tighter bound
-                break
-        for bound, pos in sorted(zip(bounds.tolist(), chunk.tolist())):
-            if not bound <= _cut(best):
-                break
+    heap = [(bound, pos, 0) for pos, bound in enumerate(diagonal.tolist())]
+    heapq.heapify(heap)
+    while heap and heap[0][0] <= _cut(best):
+        level = heap[0][2]
+        if level == deepest:
+            pos = heapq.heappop(heap)[1]
             scores[pos] = _spectral_score(m, state, rows[pos], cols[pos], ws[pos])
             best = min(best, scores[pos])
+            continue
+        batch = []
+        while heap and len(batch) < CHUNK and heap[0][2] == level and heap[0][0] <= _cut(best):
+            batch.append(heapq.heappop(heap)[1])
+        bounds = _pinched_bounds(m, state, links, idx[batch], BLOCKS[level])
+        for bound, pos in zip(bounds.tolist(), batch):
+            heapq.heappush(heap, (bound, pos, level + 1))
     return scores
 
 
 class _Resistances:
-    """Greedy's closed-form scores, carried across picks without a grown state.
+    """Closed-form scores, carried across picks without a grown state.
 
     For the graph grown so far, with pseudo-inverse P, column q - 1 of R holds
     each candidate's resistance under P^q, q = 1..top, and `stat` the form's
@@ -421,16 +421,16 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
     spectrum of a pinching of Lambda + w z z^T is majorized by the true one,
     and every measure is convex and symmetric in the spectrum, so its value
     there is a lower bound (:func:`_pinched_bounds`).  Each step computes the
-    diagonal pinching, lambda_k + w z_k^2, for every candidate and then,
-    CHUNK at a time in ascending order of it, tighter pinchings that keep
-    the BLOCKS directions with the largest z_k^2 coupled, each for the
-    candidates the one before could not rule out.  Candidates are scored in
-    ascending order of their last bound (ties by index) while it is at most
-    best + (TIE_REL + SLACK) max(1, |best|); SLACK covers the rounding
-    between the bounds and the scores.  Every unscored candidate then lies
-    outside the tie band, so the tie rule, the picks, the values and
-    `tie_breaks` are those of scoring every candidate.  The bounds read the
-    spectrum: one eigendecomposition per grown state.
+    diagonal pinching, lambda_k + w z_k^2, for every candidate; tighter
+    pinchings keep the BLOCKS directions with the largest z_k^2 coupled.
+    The step walks best-first (:func:`_pruned_scores`): while the lowest
+    pending bound is at most best + (TIE_REL + SLACK) max(1, |best|), its
+    candidate is scored if that bound is the tightest, and otherwise it and
+    up to CHUNK - 1 more of the lowest at its level get their next bound;
+    SLACK covers the rounding between the bounds and the scores.  Every
+    unscored candidate then lies outside the tie band, so the tie rule, the
+    picks, the values and `tie_breaks` are those of scoring every candidate.
+    The bounds read the spectrum: one eigendecomposition per grown state.
     """
     _check_instance(state, candidates, k)
     t0 = perf_counter()
@@ -508,8 +508,11 @@ def linearized(state: LaplacianState, candidates: CandidateSet, k: int,
     """One-shot selection of the k largest first-order improvements.
 
     The first-order change of the measure from link e = {i, j} with weight w
-    is w (grad_ii + grad_jj - 2 grad_ij) <= 0.  The gradient is computed once;
-    gradient and sort time are attributed to the first step of `elapsed`.
+    is w (grad_ii + grad_jj - 2 grad_ij) <= 0.  The gradient is computed once.
+    The closed forms value each pick from carried resistances, as greedy
+    does (:class:`_Resistances`); other measures grow the state k - 1 times.
+    Gradient, sort and set-up time are attributed to the first step of
+    `elapsed`.
     """
     _check_instance(state, candidates, k)
     t0 = perf_counter()
@@ -518,16 +521,24 @@ def linearized(state: LaplacianState, candidates: CandidateSet, k: int,
     # Stable on edge-sorted candidates: equal changes keep edge order.
     order = np.argsort(changes, kind="stable")
     tie_breaks = _argmin_lex(changes[order[k - 1:]])[1] if k else 0
+    values = [evaluate(m, state)]
+    form = _CLOSED_FORMS.get(m)
+    carried = None if form is None else _Resistances(form, state, links, values[0])
     select_time = perf_counter() - t0
 
-    values = [evaluate(m, state)]
     elapsed = []
     for step in range(k):
         t1 = perf_counter()
-        values.append(float(_score_candidates(m, state, links, order[step:step + 1],
-                                              values[-1])[0]))
+        pick = order[step:step + 1]
+        if carried is None:
+            values.append(float(_score_candidates(m, state, links, pick, values[-1])[0]))
+        else:
+            values.append(float(carried.scores(pick)[0]))
         if step + 1 < k:
-            state = state.with_edge(*candidates.links[order[step]], _top(m))
+            if carried is None:
+                state = state.with_edge(*candidates.links[order[step]])
+            else:
+                carried.add(order[step], values[-1])
         elapsed.append(perf_counter() - t1 + (select_time if step == 0 else 0.0))
 
     chosen = tuple(candidates.links[idx] for idx in order[:k])

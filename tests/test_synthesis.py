@@ -259,7 +259,9 @@ def test_greedy_mq1_lowers_by_twice_each_weight():
 def full_scan_greedy(state, candidates, k, m):
     """Reference greedy: every remaining candidate scored exactly at every step,
     on a state grown by with_edge."""
-    from specgrow.synthesis import _argmin_lex, _link_arrays, _score_candidates, _top
+    from specgrow.synthesis import _CLOSED_FORMS, _argmin_lex, _link_arrays, _score_candidates
+    form = _CLOSED_FORMS.get(m)
+    top = 1 if form is None else max(form.top, 1)  # the powers the scores read
     links = _link_arrays(candidates.links)
     remaining = np.arange(candidates.p)
     chosen, values, tie_breaks = [], [sg.evaluate(m, state)], 0
@@ -270,7 +272,7 @@ def full_scan_greedy(state, candidates, k, m):
         chosen.append(candidates.links[remaining[pick]])
         remaining = np.delete(remaining, pick)
         if step + 1 < k:
-            state = state.with_edge(*chosen[-1], _top(m))
+            state = state.with_edge(*chosen[-1], top)
         values.append(float(scores[pick]))
     return tuple(chosen), tuple(values), tie_breaks
 
@@ -375,6 +377,49 @@ def test_greedy_prunes_candidates_a_bound_rules_out(monkeypatch):
     sg.greedy(s, c, k, sg.parse_measure("tau:t=1"))
     # a full scan scores p - t candidates at step t; pruning, under p/4 a step
     assert 0 < len(calls) < k * c.p / 4
+
+
+def test_greedy_scores_only_links_whose_deepest_bound_ties_the_step_best(monkeypatch):
+    """Best-first: a link is scored exactly only if its deepest bound lies within
+    the cut of the best score its step ends with, and no bound is computed
+    for zero links."""
+    from specgrow import synthesis
+    scored, sizes = [], []
+    spectral_score, pinched_bounds = synthesis._spectral_score, synthesis._pinched_bounds
+
+    def recording_score(m, state, i, j, w):
+        scored.append((state, i, j, w, spectral_score(m, state, i, j, w)))
+        return scored[-1][-1]
+
+    def recording_bounds(m, state, links, idx, block):
+        sizes.append(idx.size)
+        return pinched_bounds(m, state, links, idx, block)
+
+    monkeypatch.setattr(synthesis, "_spectral_score", recording_score)
+    monkeypatch.setattr(synthesis, "_pinched_bounds", recording_bounds)
+    rng = np.random.default_rng(163)
+    s = sg.build_laplacian(random_connected(rng, 120))
+    c = random_candidates(rng, 120, 400)
+    deepest = next((b for b in synthesis.BLOCKS if b >= s.n - 1), synthesis.BLOCKS[-1])
+    k = 8
+    # hankel's bounds stay loose, so a walk that scores a link before its bound is
+    # the lowest pending scores links that the step's final best rules out
+    for spec in ("tau:t=1", "hankel"):
+        m = sg.parse_measure(spec)
+        scored.clear()
+        sizes.clear()
+        sg.greedy(s, c, k, m)
+        assert min(sizes) > 0, spec
+        steps = {}
+        for record in scored:
+            steps.setdefault(id(record[0]), []).append(record)
+        assert len(steps) == k, spec
+        for records in steps.values():
+            cut = synthesis._cut(min(score for *_, score in records))
+            for state, i, j, w, _ in records:
+                links = synthesis._link_arrays([((i, j), w)])
+                bound = pinched_bounds(m, state, links, np.arange(1), deepest)[0]
+                assert bound <= cut, (spec, i, j, bound, cut)
 
 
 def test_pinched_bounds_lie_below_the_scores_and_tighten_with_the_block():
@@ -499,8 +544,8 @@ def test_linearized_rejects_nondifferentiable():
 
 
 def test_solvers_update_the_state_only_between_picks(monkeypatch):
-    """k - 1 grown states for k picks; closed-form greedy grows none, as it
-    carries the candidates' resistances instead."""
+    """k - 1 grown states for k picks; on the closed forms greedy and
+    linearized grow none, as they carry the candidates' resistances instead."""
     calls = []
     with_edge = sg.LaplacianState.with_edge
 
@@ -511,8 +556,8 @@ def test_solvers_update_the_state_only_between_picks(monkeypatch):
     monkeypatch.setattr(sg.LaplacianState, "with_edge", counting)
     s = sg.build_laplacian(path_graph(6))
     c = sg.CandidateSet.complete(6, weight=0.5)
-    for solver, spec, grows in ((sg.greedy, "tau:t=1", True), (sg.linearized, "zeta:q=1", True),
-                                (sg.greedy, "zeta:q=1", False)):
+    for solver, spec, grows in ((sg.greedy, "tau:t=1", True), (sg.linearized, "tau:t=1", True),
+                                (sg.greedy, "zeta:q=1", False), (sg.linearized, "zeta:q=1", False)):
         for k in (1, 3):
             calls.clear()
             solver(s, c, k, sg.parse_measure(spec))
@@ -520,8 +565,8 @@ def test_solvers_update_the_state_only_between_picks(monkeypatch):
 
 
 def test_greedy_does_not_depend_on_powers_read_earlier(monkeypatch):
-    """A root that earlier runs left holding P1-P3 gives the same runs as a fresh
-    one, and its grown states carry only the powers each measure reads."""
+    """A root holding P1-P3 gives the same runs as a fresh one, and its grown
+    states carry only P1, the one power the spectral scores read."""
     held = []
     with_edge = sg.LaplacianState.with_edge
 
@@ -534,24 +579,24 @@ def test_greedy_does_not_depend_on_powers_read_earlier(monkeypatch):
     g = random_connected(rng, 40)
     cands = random_candidates(rng, 40, 60)
     shared = sg.build_laplacian(g)
-    sg.greedy(shared, cands, 8, sg.parse_measure("zeta:q=2"))
-    assert sorted(shared._pinv) == [1]  # closed-form greedy forms no P^2 or P^3
-    sg.linearized(shared, cands, 8, sg.parse_measure("zeta:q=2"))
-    assert sorted(shared._pinv) == [1, 2, 3]
+    for spec in ("zeta:q=2", "mq:q=1"):  # the closed-form solvers form no P^2 or P^3
+        for solver in (sg.greedy, sg.linearized):
+            solver(shared, cands, 8, sg.parse_measure(spec))
+            assert sorted(shared._pinv) == [1], (solver.__name__, spec)
+    shared.pinv_power(2)
+    shared.pinv_power(3)
     monkeypatch.setattr(sg.LaplacianState, "with_edge", recording)
-    # closed-form greedy grows no state
-    for spec, powers, grown in (("volume", [1], 0), ("zeta:q=1", [1, 2], 0), ("tau:t=1", [1], 7)):
+    # the closed-form solvers grow no state
+    for spec, grown in (("volume", 0), ("zeta:q=1", 0), ("zeta:q=2", 0), ("tau:t=1", 7)):
         m = sg.parse_measure(spec)
-        held.clear()
-        after = sg.greedy(shared, cands, 8, m)
-        assert held == [powers] * grown, spec
-        held.clear()
-        sg.linearized(shared, cands, 8, m)
-        assert held == [powers] * 7, spec
-        fresh = sg.greedy(sg.build_laplacian(g), cands, 8, m)
-        assert after.chosen == fresh.chosen, spec
-        assert after.values == fresh.values, spec
-        assert after.tie_breaks == fresh.tie_breaks, spec
+        for solver in (sg.greedy, sg.linearized):
+            held.clear()
+            after = solver(shared, cands, 8, m)
+            assert held == [[1]] * grown, (solver.__name__, spec)
+            fresh = solver(sg.build_laplacian(g), cands, 8, m)
+            assert after.chosen == fresh.chosen, (solver.__name__, spec)
+            assert after.values == fresh.values, (solver.__name__, spec)
+            assert after.tie_breaks == fresh.tie_breaks, (solver.__name__, spec)
 
 
 def test_linearized_trajectory_matches_rebuild():
