@@ -52,13 +52,17 @@ TIE_REL = 1e-12
 # was 5.5e-7 of the value, for mq:q=1 with links of weight 1e8 at n = 80-160,
 # before that measure moved to a closed form (which greedy does not prune).
 SLACK = 1e-6
-# Greedy's bounds after the diagonal one: pinchings that couple the 32, then
-# the 128, eigen-directions a link moves most (see _pinched_bounds), tightened
-# for up to CHUNK of the lowest pending links at a time.  A grow-spectral-n300
-# solve (n = 300, p = 1,000, k = 2) computes the first for 32-79 links and the
-# second for 4-20 (0.03 and 0.33 ms a link, against 2.2 ms for an exact
-# score), then scores 2 links.
-BLOCKS = (32, 128)
+# Greedy's bounds after the diagonal one: pinchings that couple the 32, 64,
+# then 128 eigen-directions a link moves most (see _pinched_bounds).  A batch
+# of the lowest pending links is tightened together, up to CHUNK * BLOCKS[0]
+# coupled directions in all: CHUNK links at the first level, fewer deeper.
+# Over seeds 0-39, a grow-spectral-n300 solve (n = 300, p = 1,000, k = 2)
+# computes them for 40-91, 8-24 and 2-9 links (0.03, 0.09 and 0.35 ms a
+# link, against 2 ms for an exact score), then scores 2-4 links.  The 64
+# level spares most 128-block bounds, and batches that mix levels need fewer
+# calls, each of which costs about one 32-block bound in overhead; both make
+# a solve's time depend less on how many links its bounds reach.
+BLOCKS = (32, 64, 128)
 CHUNK = 16
 # Links bounded, or given their root resistances, in one pass: their (ROWS, n)
 # temporaries stay near 300 KB each at n = 300, where all 1,000 candidates at
@@ -276,11 +280,13 @@ def _pruned_scores(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarra
     is the BLOCKS[l - 1] pinching, up to the first block of every direction.
     While the lowest pending bound is within the best score's cut, either
     that entry is at the deepest level and its link is scored exactly, or
-    it and the entries after it, lowest first while they are at its level
-    and within the cut, up to CHUNK in all, get their next bound.  A bound
-    is tightened, or a link scored, only while it is the lowest pending and
-    could still tie the best score; the cut only falls, so the walk ends
-    with every link left unscored above it.
+    it and the entries after it, lowest first while they are within the cut
+    and short of the deepest level, get their next bound, one call per
+    level, until the batch would couple more than CHUNK * BLOCKS[0]
+    directions.  A link is scored only while its bound is the lowest pending
+    and could still tie the best score, and a bound is tightened only while
+    it is within the cut; the cut only falls, so the walk ends with every
+    link left unscored above it.
     """
     rows, cols, ws = (a[idx].tolist() for a in links)
     scores = np.full(idx.size, math.inf)
@@ -294,18 +300,22 @@ def _pruned_scores(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarra
     heap = [(bound, pos, 0) for pos, bound in enumerate(diagonal.tolist())]
     heapq.heapify(heap)
     while heap and heap[0][0] <= _cut(best):
-        level = heap[0][2]
-        if level == deepest:
+        if heap[0][2] == deepest:
             pos = heapq.heappop(heap)[1]
             scores[pos] = _spectral_score(m, state, rows[pos], cols[pos], ws[pos])
             best = min(best, scores[pos])
             continue
-        batch = []
-        while heap and len(batch) < CHUNK and heap[0][2] == level and heap[0][0] <= _cut(best):
-            batch.append(heapq.heappop(heap)[1])
-        bounds = _pinched_bounds(m, state, links, idx[batch], BLOCKS[level])
-        for bound, pos in zip(bounds.tolist(), batch):
-            heapq.heappush(heap, (bound, pos, level + 1))
+        batches: dict[int, list[int]] = {}
+        coupled = 0
+        while (heap and heap[0][2] < deepest and heap[0][0] <= _cut(best)
+               and (not batches or coupled + BLOCKS[heap[0][2]] <= CHUNK * BLOCKS[0])):
+            _, pos, level = heapq.heappop(heap)
+            batches.setdefault(level, []).append(pos)
+            coupled += BLOCKS[level]
+        for level, batch in batches.items():
+            bounds = _pinched_bounds(m, state, links, idx[batch], BLOCKS[level])
+            for bound, pos in zip(bounds.tolist(), batch):
+                heapq.heappush(heap, (bound, pos, level + 1))
     return scores
 
 
@@ -426,7 +436,8 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
     The step walks best-first (:func:`_pruned_scores`): while the lowest
     pending bound is at most best + (TIE_REL + SLACK) max(1, |best|), its
     candidate is scored if that bound is the tightest, and otherwise it and
-    up to CHUNK - 1 more of the lowest at its level get their next bound;
+    the next lowest, at any level short of the tightest, get their next
+    bound in one batch of at most CHUNK * BLOCKS[0] coupled directions;
     SLACK covers the rounding between the bounds and the scores.  Every
     unscored candidate then lies outside the tie band, so the tie rule, the
     picks, the values and `tie_breaks` are those of scoring every candidate.
