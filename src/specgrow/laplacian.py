@@ -36,21 +36,24 @@ def downdate_factors(apply, u: np.ndarray, c: float, top: int):
     """Factors of the rank-one downdate of the pseudo-inverse powers P^1..P^top.
 
     With u = P(e_i - e_j) and c = (1/w + r_e(L))^-1, adding w L_e downdates P
-    to P - c u u^T, and P^m to P^m - X C_m X^T with X = [u, Pu, P^2 u][:, :top];
-    apply(x) is the product P x.  Returns X and the cores C[m - 1] = C_m,
-    each top x top and zero outside its leading m x m block.
+    to P - c u u^T, and P^m to P^m - sum_{s+t<m} g[m-1-s-t] K_s K_t^T with the
+    rows K = [u, Pu, P^2 u][:top]; apply(x) is the product P x.  Returns K and
+    the Hankel coefficients g, where g[k] sums the terms with k+1 factors
+    c u u^T.
     """
     krylov = [u]
     while len(krylov) < top:
         krylov.append(apply(krylov[-1]))
-    X = np.array(krylov).T  # column-major: X[:, :m], so Q_m, ignores the other powers
-    # The core is Hankel: C[s, t] = g[m-1-s-t] for s + t < m, else 0, where g[k]
-    # sums the terms with k+1 factors c u u^T; h = r_e(L^2), r_e(L^3), ...
-    h = [float(u @ v) for v in krylov]
-    g = (c, -c * c * h[0], c * c * (c * h[0] * h[0] - h[1]) if len(h) > 1 else 0.0)
-    cores = np.array([[[g[m - 1 - s - t] if s + t < m else 0.0 for t in range(top)]
-                       for s in range(top)] for m in range(1, top + 1)])
-    return X, cores
+    h = [float(u @ v) for v in krylov]  # r_e(L^2), r_e(L^3), ...
+    g = (c, -c * c * h[0], c * c * (c * h[0] * h[0] - h[1]) if top > 1 else 0.0)
+    return np.array(krylov), g[:top]
+
+
+def hankel_core(g, m: int) -> np.ndarray:
+    """The m x m core C_m of the downdate of P^m: C[s, t] = g[m-1-s-t] for
+    s + t < m, else 0."""
+    return np.array([[g[m - 1 - s - t] if s + t < m else 0.0 for t in range(m)]
+                     for s in range(m)])
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -147,8 +150,8 @@ class LaplacianState:
         """State for L + w*L_e carrying P^1..P^top, updated in O(n^2) per power.
 
         Each power m <= top is read here (computed if this state does not
-        hold it) and carried by one correction P^m - X C_m X^T, the factors of
-        :func:`downdate_factors`.  The new state holds no other power.
+        hold it) and carried by one correction P^m - K_m^T C_m K_m, from the
+        factors of :func:`downdate_factors`.  The new state holds no other power.
         """
         i, j = canonical_edge(*edge)
         w = float(weight)
@@ -160,10 +163,10 @@ class LaplacianState:
         P1 = np.asarray(self.pinv_power(1))
         u = P1[:, i] - P1[:, j]
         c = 1.0 / (1.0 / w + float(pair_form(P1, i, j)))
-        X, cores = downdate_factors(lambda x: P1 @ x, u, c, top)
+        K, g = downdate_factors(lambda x: P1 @ x, u, c, top)
         pinv = {}
         for m in range(1, top + 1):
-            Q = (X[:, :m] @ cores[m - 1, :m, :m]) @ X[:, :m].T
+            Q = (K[:m].T @ hankel_core(g, m)) @ K[:m]
             pinv[m] = np.subtract(self.pinv_power(m), Q, out=Q)
 
         L = np.array(self.matrix)

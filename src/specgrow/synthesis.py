@@ -14,16 +14,16 @@ candidate link set:
   where a per-step lower bound cannot rule the candidate out; a bound is
   tightened only while it is the lowest one pending (see :func:`greedy`).
 * :func:`linearized` - one gradient of the measure, then the k candidates
-  with the largest first-order improvement in a single pass, their values
-  read as greedy reads them (carried resistances for the closed forms).
+  with the largest first-order improvement, their values read as greedy
+  reads them (carried resistances for the closed forms).
 
-All tie-breaking is deterministic.  Greedy and brute force share one rule:
-the pick is the lex-smallest candidate within 1e-12 relative of the minimum
-score (relative to max(1, |minimum|)), and `tie_breaks` counts the other
-candidates (greedy, summed over steps) or subsets (brute force) in that
-band.  The linearized solver breaks equal first-order changes by edge order
-and counts, with the same band, the unpicked candidates tied with its k-th
-pick.
+All tie-breaking is deterministic and follows one rule: the pick is the
+lex-smallest candidate within 1e-12 relative of the minimum score
+(relative to max(1, |minimum|)).  Greedy and linearized apply it pick by
+pick, to the scores or first-order changes of the candidates left; brute
+force applies it to the subsets.  `tie_breaks` counts the other candidates
+(greedy, summed over steps), subsets (brute force) or unpicked candidates
+at the k-th pick (linearized) in that band.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, islice
 from time import perf_counter
 from typing import Callable, Iterable, NamedTuple
@@ -41,7 +42,7 @@ from .errors import (CombinatorialBlowup, GraphFormatError, InvalidParameter,
                      UnsupportedMeasure)
 from .graphs import Edge, add_link, canonical_edge, load_json, read_links
 from .laplacian import (LaplacianState, downdate_factors, downdated_inverse_spectrum,
-                        pair_form)
+                        hankel_core, pair_form)
 from .measures import MeasureSpec, companion_value, evaluate, gradient, spectral_value
 
 TIE_REL = 1e-12
@@ -86,6 +87,15 @@ class CandidateSet:
     def p(self) -> int:
         return len(self.links)
 
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The links as read-only arrays of first nodes, second nodes and
+        weights, built at the first read and shared by every solve after it."""
+        arrays = _link_arrays(self.links)
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
+
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[int, int, float]]) -> CandidateSet:
         # Left lazy, so that a malformed triple surfaces inside read_links.
@@ -106,9 +116,10 @@ class CandidateSet:
 
     def validate_for(self, n: int) -> None:
         """Raise unless every link fits n nodes; construction checked the rest."""
-        for (i, j), _ in self.links:
-            if j >= n:
-                raise GraphFormatError(f"candidate edge ({i}, {j}) outside node range [0, {n})")
+        bad = np.flatnonzero(self.arrays[1] >= n)
+        if bad.size:
+            (i, j), _ = self.links[bad[0]]
+            raise GraphFormatError(f"candidate edge ({i}, {j}) outside node range [0, {n})")
 
     def to_json_obj(self) -> dict:
         return {"links": [[i, j, w] for (i, j), w in self.links]}
@@ -322,45 +333,48 @@ def _pruned_scores(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarra
 class _Resistances:
     """Closed-form scores, carried across picks without a grown state.
 
-    For the graph grown so far, with pseudo-inverse P, column q - 1 of R holds
-    each candidate's resistance under P^q, q = 1..top, and `stat` the form's
+    For the graph grown so far, with pseudo-inverse P, row q - 1 of R holds
+    every candidate's resistance under P^q, q = 1..top, and `stat` the form's
     statistic.  At the root both come from the spectrum:
     r_q = sum_k z_k^2 lambda_k^-q with z = V^T (e_i - e_j), and
     tr P^q = sum_k lambda_k^-q, so no power of P is formed.  A pick downdates
-    P^q by X C_q X^T (:func:`downdate_factors`), which lowers every r_q by the
-    pair form of X C_q X^T and tr P^q by its trace: O(p top^2) after the
-    top - 1 products with P that build X.  A product with P is
-    P0 x - U (c * U^T x), with P0 the root's pseudo-inverse and U, c the u
-    vectors and coefficients of the picks so far; once U holds ceil(n/2)
-    columns such a product costs what a dense one does, so the chain is
-    folded into P0.
+    P^q by sum_{s+t<q} g[q-1-s-t] K_s K_t^T (:func:`downdate_factors`), which
+    lowers every r_q by sum_{s+t<q} g[q-1-s-t] y_s y_t, y_s = K_s[rows] -
+    K_s[cols], and tr P^q by the same sum over the diagonal: O(p top^2)
+    elementwise work after the top - 1 products with P that build K.  A
+    product with P is P0 x - U^T (c * U x), with P0 the root's
+    pseudo-inverse and the rows of U, c the u vectors and coefficients of
+    the picks so far; once U holds ceil(n/2) rows such a product costs what
+    a dense one does, so the chain is folded into P0.
     """
 
     def __init__(self, form: _ClosedForm, state: LaplacianState,
                  links: tuple[np.ndarray, ...], value: float):
         self.form, self.root = form, state
         self.rows, self.cols, self.ws = links
-        W = state.nonzero_eigvals[:, None] ** -np.arange(1.0, form.top + 1.0)
-        self.stat = value if form.power is None else float(np.sum(W[:, form.power - 1]))
-        self.R = np.empty((self.rows.size, form.top))
+        # Row q - 1 weighs eigenvector k by lambda_k^-q, and the null vector by 0.
+        W = np.zeros((form.top, state.n))
+        W[:, 1:] = state.nonzero_eigvals ** -np.arange(1.0, form.top + 1.0)[:, None]
+        self.stat = value if form.power is None else float(np.sum(W[form.power - 1]))
+        self.R = np.empty((form.top, self.rows.size))
         if form.top:
-            V = state.eigvecs[:, 1:]
             for start in range(0, self.rows.size, ROWS):
                 part = slice(start, start + ROWS)
-                self.R[part] = np.square(V[self.rows[part]] - V[self.cols[part]]) @ W
+                Z = state.eigvecs.take(self.rows[part], axis=0)
+                Z -= state.eigvecs.take(self.cols[part], axis=0)
+                self.R[:, part] = W @ np.square(Z, out=Z).T
         self.P = None  # P0, read at the first pick
 
-    def scores(self, idx: np.ndarray) -> np.ndarray:
-        """Post-addition measure value of each candidate idx."""
-        R = self.R[idx]
-        r = {q: R[:, q - 1] for q in range(1, self.form.top + 1)}
+    def scores(self, idx=slice(None)) -> np.ndarray:
+        """Post-addition measure value of each candidate idx (all by default)."""
+        r = dict(enumerate(self.R[:, idx], 1))
         return self.form.transform(self.stat - _drop(self.form, self.ws[idx], r))
 
     def _product(self, x: np.ndarray) -> np.ndarray:
         out = self.P @ x
         if self.picks:
-            U, c = self.U[:, :self.picks], self.c[:self.picks]
-            out -= U @ (c * (U.T @ x))
+            U = self.U[:self.picks]
+            out -= (self.c[:self.picks] * (U @ x)) @ U
         return out
 
     def add(self, link: int, value: float) -> None:
@@ -374,25 +388,42 @@ class _Resistances:
         if self.P is None:
             n = self.root.n
             self.P = np.asarray(self.root.pinv_power(1))
-            self.U, self.c, self.picks = np.empty((n, (n + 1) // 2)), np.empty((n + 1) // 2), 0
-        u = self.P[:, i] - self.P[:, j]
+            self.U, self.c, self.picks = np.empty(((n + 1) // 2, n)), np.empty((n + 1) // 2), 0
+        u = self.P[i] - self.P[j]  # P is symmetric; its rows are contiguous
         if self.picks:
-            U, c = self.U[:, :self.picks], self.c[:self.picks]
-            u -= U @ (c * (U[i] - U[j]))
-        coef = 1.0 / (1.0 / w + self.R[link, 0])
-        X, cores = downdate_factors(self._product, u, coef, top)
-        if power is not None:
-            self.stat -= float(np.sum(cores[power - 1] * (X.T @ X)))
-        # Each r_q drops by y^T C_q y, y = X^T (e_i - e_j) a row of Y; picked
-        # candidates are updated too, and nothing reads them again.
-        Y = X[self.rows] - X[self.cols]
-        self.R -= (Y[:, :, None] * Y[:, None, :]).reshape(Y.shape[0], -1) @ \
-            cores.reshape(top, -1).T
-        self.U[:, self.picks], self.c[self.picks] = u, coef
+            U = self.U[:self.picks]
+            u -= (self.c[:self.picks] * (U[:, i] - U[:, j])) @ U
+        coef = 1.0 / (1.0 / w + self.R[0, link])
+        K, g = downdate_factors(self._product, u, coef, top)
+        if power is not None:  # tr K_s K_t^T = K_s . K_t
+            self.stat -= float(np.sum(hankel_core(g, power) * (K[:power] @ K[:power].T)))
+        # Picked candidates are updated too, and nothing reads them again.
+        self.R -= _hankel_drops(g, K.take(self.rows, axis=1) - K.take(self.cols, axis=1))
+        self.U[self.picks], self.c[self.picks] = u, coef
         self.picks += 1
-        if self.picks == self.U.shape[1]:
-            self.P = self.P - (self.U * self.c) @ self.U.T
+        if self.picks == self.U.shape[0]:
+            self.P = self.P - (self.U.T * self.c) @ self.U
             self.picks = 0
+
+
+def _hankel_drops(g, Y: np.ndarray) -> np.ndarray:
+    """Row q - 1 holds sum_{s+t<q} g[q-1-s-t] Y_s Y_t, q = 1..len(Y), elementwise.
+
+    That sum is the x^(q-1) coefficient of G(x) Y(x)^2, with G and Y the
+    polynomials whose coefficients are g and the rows of Y: the square's
+    coefficients A_k = sum_{s+t=k} Y_s Y_t, each pair s < t once and
+    doubled, then times the lower-triangular Toeplitz matrix of g, which is
+    the Hankel core C_top with its rows reversed.
+    """
+    top = len(Y)
+    twice = 2.0 * Y
+    A = np.empty_like(Y)
+    for k in range(top):
+        a = Y[k // 2] * Y[k // 2] if k % 2 == 0 else 0.0
+        for s in range((k + 1) // 2):
+            a = a + twice[s] * Y[k - s]
+        A[k] = a
+    return hankel_core(g, top)[::-1] @ A
 
 
 def _argmin_lex(scores) -> tuple[int, int]:
@@ -420,8 +451,11 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
 
     Closed-form measures grow no state: each candidate's resistances under
     P^1..P^top are read off the root's spectrum and, between picks, lowered
-    by the pair form of the pick's rank-one downdate (:class:`_Resistances`),
-    so a pick costs top - 1 products of P with a vector plus O(p top^2).
+    elementwise by the pair form of the pick's rank-one downdate
+    (:class:`_Resistances`), so a pick costs top - 1 products of P with a
+    vector plus O(p top^2) elementwise work.  Each step scores all p
+    candidates and gives the picked ones an infinite score; a closed-form
+    minimum is finite, so the tie rule sees exactly the candidates left.
     Every other measure updates the state rank-one between picks only: k - 1
     updates in all.  Set-up time is attributed to the first step of `elapsed`.
 
@@ -445,11 +479,12 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
     """
     _check_instance(state, candidates, k)
     t0 = perf_counter()
-    links = _link_arrays(candidates.links)
+    links = candidates.arrays
     form = _CLOSED_FORMS.get(m)
     values = [evaluate(m, state)]
     carried = None if form is None else _Resistances(form, state, links, values[0])
-    remaining = np.arange(candidates.p)
+    remaining = np.arange(candidates.p)  # unpicked links, for the pruned scores
+    picked: list[int] = []
     chosen: list[tuple[Edge, float]] = []
     elapsed: list[float] = []
     tie_breaks = 0
@@ -457,11 +492,15 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
     for step in range(k):
         if carried is None:
             scores = _pruned_scores(m, state, links, remaining)
-        else:
-            scores = carried.scores(remaining)
-        pick, ties = _argmin_lex(scores)
+            pick, ties = _argmin_lex(scores)
+            link, remaining = int(remaining[pick]), np.delete(remaining, pick)
+        else:  # closed-form minima are finite, so an inf score is never picked
+            scores = carried.scores()
+            scores[picked] = math.inf
+            pick, ties = _argmin_lex(scores)
+            link = pick
         tie_breaks += ties
-        link, remaining = remaining[pick], np.delete(remaining, pick)
+        picked.append(link)
         chosen.append(candidates.links[link])
         if step + 1 < k:
             if carried is None:
@@ -519,19 +558,23 @@ def linearized(state: LaplacianState, candidates: CandidateSet, k: int,
     """One-shot selection of the k largest first-order improvements.
 
     The first-order change of the measure from link e = {i, j} with weight w
-    is w (grad_ii + grad_jj - 2 grad_ij) <= 0.  The gradient is computed once.
-    The closed forms value each pick from carried resistances, as greedy
-    does (:class:`_Resistances`); other measures grow the state k - 1 times.
-    Gradient, sort and set-up time are attributed to the first step of
+    is w (grad_ii + grad_jj - 2 grad_ij) <= 0.  The gradient is computed once;
+    each pick is then the lex-first change within the tie band of the
+    lowest one left, as greedy picks.  The closed forms value each pick
+    from carried resistances, as greedy does (:class:`_Resistances`); other
+    measures grow the state k - 1 times.
+    Gradient, selection and set-up time are attributed to the first step of
     `elapsed`.
     """
     _check_instance(state, candidates, k)
     t0 = perf_counter()
-    links = _link_arrays(candidates.links)
+    links = candidates.arrays
     changes = _first_order(m, state, links, np.arange(candidates.p))
-    # Stable on edge-sorted candidates: equal changes keep edge order.
-    order = np.argsort(changes, kind="stable")
-    tie_breaks = _argmin_lex(changes[order[k - 1:]])[1] if k else 0
+    # Greedy's tie rule, pick by pick, on the first-order changes left.
+    order, remaining, tie_breaks = np.empty(k, dtype=int), np.arange(candidates.p), 0
+    for step in range(k):
+        pick, tie_breaks = _argmin_lex(changes[remaining])
+        order[step], remaining = remaining[pick], np.delete(remaining, pick)
     values = [evaluate(m, state)]
     form = _CLOSED_FORMS.get(m)
     carried = None if form is None else _Resistances(form, state, links, values[0])

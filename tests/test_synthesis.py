@@ -48,6 +48,38 @@ def test_candidate_set_json_round_trip():
         sg.CandidateSet.parse("not json")
 
 
+def test_validate_for_names_the_first_link_out_of_range():
+    links = [(i, j, 1.0) for i in range(70) for j in range(i + 1, 70)][:1999]
+    c = sg.CandidateSet.from_triples(links + [(69, 100, 1.0)])
+    assert c.p == 2000 and c.links[-1][0] == (69, 100)
+    c.validate_for(101)
+    with pytest.raises(sg.GraphFormatError, match=r"\(69, 100\) outside node range \[0, 70\)"):
+        c.validate_for(70)
+    c = sg.CandidateSet.from_triples(links + [(69, 100, 1.0), (68, 90, 1.0)])
+    with pytest.raises(sg.GraphFormatError, match=r"\(68, 90\) outside node range \[0, 80\)"):
+        c.validate_for(80)
+
+
+def test_candidate_arrays_are_read_only_and_safe_to_share():
+    rng = np.random.default_rng(181)
+    s = sg.build_laplacian(random_connected(rng, 30))
+    c = random_candidates(rng, 30, 60)
+    rows, cols, ws = c.arrays
+    assert c.arrays is c.arrays  # built once
+    assert [a.flags.writeable for a in c.arrays] == [False] * 3
+    assert rows.tolist() == [e[0] for e, _ in c.links]
+    assert cols.tolist() == [e[1] for e, _ in c.links]
+    assert ws.tolist() == [w for _, w in c.links]
+    with pytest.raises(ValueError):
+        ws[0] = 2.0
+    for spec in ("zeta:q=1", "zeta:q=2", "volume", "mq:q=1", "tau:t=1"):
+        m = sg.parse_measure(spec)
+        for solver in (sg.greedy, sg.linearized):
+            a, b = solver(s, c, 8, m), solver(s, c, 8, m)
+            assert (repr(a.chosen), repr(a.values), a.tie_breaks) == \
+                (repr(b.chosen), repr(b.values), b.tie_breaks), (solver.__name__, spec)
+
+
 # --- closed forms ----------------------------------------------------------------
 
 
@@ -360,6 +392,35 @@ def test_carried_resistances_match_grown_states():
     check(s, c, c.p)
 
 
+def test_carried_values_at_heavy_weights_stay_within_the_known_error():
+    """Every candidate near 1e8, all of them added: the carried values lose
+    accuracy once the heavy links contract the graph, since each drop is
+    subtracted from a statistic that falls by many orders of magnitude.  The
+    bounds are the largest errors against a fresh build, per measure, before
+    the carried update was rewritten elementwise: 1.2e-8 and 1.1e-4 for the
+    zeta forms, as first reported, and 3.7e-8 for volume, on this sweep."""
+    bounds = {"zeta:q=1": 1.2e-8, "zeta:q=2": 1.1e-4, "volume": 3.7e-8}
+    worst = dict.fromkeys(bounds, 0.0)
+    rng = np.random.default_rng(167)
+    for _ in range(12):
+        n = int(rng.integers(4, 11))
+        g = random_connected(rng, n)
+        s = sg.build_laplacian(g)
+        p = int(rng.integers(4, 11))
+        c = sg.CandidateSet.from_triples(
+            [(i, j, 1e8 * w) for (i, j), w in random_candidates(rng, n, p).links])
+        for spec in bounds:
+            m = sg.parse_measure(spec)
+            for solver in (sg.greedy, sg.linearized):
+                res = solver(s, c, c.p, m)
+                items = list(g.edges.items())
+                for link, value in zip(res.chosen, res.values[1:]):
+                    items.append(link)
+                    error = abs(value - full_recompute_value(m, laplacian_of(n, items)))
+                    worst[spec] = max(worst[spec], error)
+    assert all(worst[spec] <= bounds[spec] for spec in bounds), worst
+
+
 def test_greedy_prunes_candidates_a_bound_rules_out(monkeypatch):
     from specgrow import synthesis
     calls = []
@@ -503,6 +564,17 @@ def test_linearized_counts_candidates_tied_with_its_last_pick():
     m = sg.parse_measure("zeta:q=1")
     for k, ties in ((1, 5), (2, 4), (6, 0)):
         assert sg.linearized(s, c, k, m).tie_breaks == ties, k
+
+
+def test_linearized_takes_greedys_tie_rule():
+    # K4 with complete unit candidates: the six first-order changes differ in
+    # the last bits only, so each pick is the lex-first within the tie band
+    s = sg.build_laplacian(k4())
+    c = sg.CandidateSet.complete(4, weight=1.0)
+    m = sg.parse_measure("zeta:q=1")
+    for solver in (sg.greedy, sg.brute_force, sg.linearized):
+        assert solver(s, c, 1, m).chosen == (((0, 1), 1.0),), solver.__name__
+    assert [e for e, _ in sg.linearized(s, c, 3, m).chosen] == [(0, 1), (0, 2), (0, 3)]
 
 
 def test_linearized_invariant_under_weight_scaling():
