@@ -2,9 +2,10 @@
 for growing a network by new weighted links to minimize a chosen measure."""
 
 from .errors import (AxiomViolation, CombinatorialBlowup, GraphFormatError,
-                     InvalidParameter, MeasureSpecError, NodeCountMismatch,
-                     NonDifferentiableMeasure, NotConnected, SelfLoopEdge,
-                     SpecgrowError, UnstableStepSize, UnsupportedMeasure)
+                     IllConditioned, InvalidParameter, MeasureSpecError,
+                     NodeCountMismatch, NonDifferentiableMeasure, NotConnected,
+                     SelfLoopEdge, SpecgrowError, UnstableStepSize,
+                     UnsupportedMeasure)
 from .graphs import WeightedGraph, canonical_edge, load_graph, meet, parse_graph, union
 from .laplacian import LaplacianState, build_laplacian
 from .limits import (BoundsReport, bounds_report, enhancement_table, limit_value,
@@ -23,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxiomViolation", "BoundsReport", "CandidateSet", "CombinatorialBlowup",
-    "GraphFormatError", "InvalidParameter", "LaplacianState", "MeasureSpec",
+    "GraphFormatError", "IllConditioned", "InvalidParameter", "LaplacianState", "MeasureSpec",
     "MeasureSpecError", "NodeCountMismatch", "NonDifferentiableMeasure",
     "NotConnected", "SelfLoopEdge", "SimConfig", "SpecgrowError",
     "SynthesisResult", "UnstableStepSize", "UnsupportedMeasure",

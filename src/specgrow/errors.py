@@ -21,6 +21,11 @@ class NotConnected(SpecgrowError):
     """The graph has more than one component; all measures are undefined."""
 
 
+class IllConditioned(NotConnected):
+    """The links join every node, but the algebraic connectivity is below the
+    scale-aware zero threshold: the spectrum reads as disconnected."""
+
+
 class InvalidParameter(SpecgrowError):
     """A measure or simulation parameter outside its admissible range."""
 

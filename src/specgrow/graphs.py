@@ -19,6 +19,10 @@ from .errors import GraphFormatError, NodeCountMismatch, SelfLoopEdge
 
 Edge = tuple[int, int]
 
+# The most nodes a dense Laplacian is built for: at this size one n x n
+# float64 matrix takes 800 MB, and a solve holds several.
+MAX_NODES = 10_000
+
 
 def _integer(x, what: str) -> int:
     """x as an int: a float, bool or string is refused, never truncated."""
@@ -122,7 +126,10 @@ class WeightedGraph:
         return WeightedGraph(self.n, edges)
 
     def laplacian(self) -> np.ndarray:
-        """Dense Laplacian matrix (degree minus adjacency)."""
+        """Dense Laplacian matrix (degree minus adjacency), up to MAX_NODES nodes."""
+        if self.n > MAX_NODES:
+            raise GraphFormatError(f"{self.n} nodes exceed the cap of {MAX_NODES} "
+                                   "for a dense Laplacian")
         L = np.zeros((self.n, self.n))
         for (i, j), w in self.edges.items():
             add_link(L, i, j, w)

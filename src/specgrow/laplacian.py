@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParameter, NotConnected
+from .errors import IllConditioned, InvalidParameter, NotConnected
 from .graphs import Edge, WeightedGraph, add_link, canonical_edge
 
 _PINV_POWERS = (1, 2, 3)
@@ -174,18 +174,22 @@ class LaplacianState:
         return LaplacianState(L, pinv)
 
 
-def downdated_inverse_spectrum(state: LaplacianState, edge: Edge, weight: float) -> np.ndarray:
-    """Nonzero pseudo-inverse eigenvalues, ascending, after adding the edge.
+def downdated_inverse_spectra(state: LaplacianState, rows, cols, ws) -> np.ndarray:
+    """Nonzero pseudo-inverse eigenvalues, ascending, after adding each link
+    (rows[b], cols[b], ws[b]) alone: row b, from one stacked eigvalsh of the
+    downdates P - c_b u_b u_b^T.
 
-    The weight may be inf: the downdate coefficient (1/w + r_e)^-1 is then
+    A weight may be inf: the downdate coefficient (1/w + r_e)^-1 is then
     1/r_e, the infinite-coupling limit.
     """
-    i, j = canonical_edge(*edge)
     P1 = np.asarray(state.pinv_power(1))
-    u = P1[:, i] - P1[:, j]
-    c = 1.0 / (1.0 / float(weight) + float(u[i] - u[j]))
-    mus = np.linalg.eigvalsh(P1 - c * np.outer(u, u))
-    return np.maximum(mus[1:], 0.0)
+    U = (P1[:, rows] - P1[:, cols]).T
+    link = np.arange(U.shape[0])
+    c = 1.0 / (1.0 / np.asarray(ws, dtype=float) + (U[link, rows] - U[link, cols]))
+    S = U[:, :, None] * U[:, None, :]
+    S *= c[:, None, None]
+    mus = np.linalg.eigvalsh(np.subtract(P1, S, out=S))
+    return np.maximum(mus[:, 1:], 0.0)
 
 
 def connectivity_tolerance(eigvals: np.ndarray) -> float:
@@ -217,8 +221,10 @@ def build_laplacian(graph: WeightedGraph) -> LaplacianState:
     Raises:
         NotConnected: if the links leave more than one component (checked
             before any n x n allocation, and by link count alone before the
-            union-find's n-entry list), or if the second-smallest eigenvalue
-            does not clear the scale-aware zero threshold.
+            union-find's n-entry list); its subclass IllConditioned if
+            they join every node but the second-smallest eigenvalue does
+            not clear the scale-aware zero threshold.
+        GraphFormatError: above MAX_NODES nodes, before any n x n allocation.
     """
     if len(graph.edges) < graph.n - 1 or not _connected(graph):
         raise NotConnected(f"{len(graph.edges)} links leave the {graph.n} nodes disconnected")
@@ -226,6 +232,7 @@ def build_laplacian(graph: WeightedGraph) -> LaplacianState:
     vals, vecs = np.linalg.eigh(L)
     tol = connectivity_tolerance(vals)
     if vals[1] <= tol:
-        raise NotConnected(f"algebraic connectivity {vals[1]:.3e} below tolerance {tol:.3e}")
+        raise IllConditioned(f"connected, but algebraic connectivity {vals[1]:.3e} "
+                             f"is below the zero tolerance {tol:.3e}")
     vals[0] = 0.0
     return LaplacianState(L, eigvals=_freeze(vals), eigvecs=_freeze(vecs))

@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidParameter, UnsupportedMeasure
-from .graphs import Edge, WeightedGraph
-from .laplacian import LaplacianState, downdated_inverse_spectrum
+from .graphs import Edge, WeightedGraph, canonical_edge
+from .laplacian import LaplacianState, downdated_inverse_spectra
 from .measures import MeasureSpec, companion_value, evaluate, spectral_value
 
 
@@ -56,7 +56,8 @@ def max_single_link_gain(state: LaplacianState, edge: Edge, m: MeasureSpec) -> f
     This is the infinite-weight limit; for the volume and mq measures it
     is +inf (one link can improve them without bound).
     """
-    mus = downdated_inverse_spectrum(state, edge, math.inf)
+    i, j = canonical_edge(*edge)
+    mus = downdated_inverse_spectra(state, [i], [j], [math.inf])[0]
     # The infinite-weight downdate loses one more rank; snap the noise-level
     # eigenvalue to an exact zero so per-measure limits (e.g. -inf) apply.
     mus[mus < mus.size * np.finfo(float).eps * max(float(mus[-1]), 1.0)] = 0.0

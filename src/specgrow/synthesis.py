@@ -3,16 +3,17 @@
 Three algorithms minimize a performance measure over size-k subsets of a
 candidate link set:
 
-* :func:`brute_force` - exhaustive search over all subsets, each scored by a
-  full eigendecomposition (the reference answer on small instances).
+* :func:`brute_force` - exhaustive search over all subsets, a stack of grown
+  Laplacians per eigvalsh (the reference answer on small instances).
 * :func:`greedy` - picks the single best link k times.  For the zeta:q=1,
   zeta:q=2, volume and mq:q=1 measures each candidate is scored in O(1) from
   its weight and effective resistances, which greedy carries across picks
   by rank-one updates of the p resistances alone (no grown state, no power
   of the pseudo-inverse beyond the root's P); every other measure is scored
-  from the spectrum of the rank-one-downdated pseudo-inverse, and only
-  where a per-step lower bound cannot rule the candidate out; a bound is
-  tightened only while it is the lowest one pending (see :func:`greedy`).
+  from the spectra of the rank-one-downdated pseudo-inverses, a stack per
+  eigvalsh, only where a per-step lower bound cannot rule the candidate
+  out; a bound is tightened only while it is the lowest one pending (see
+  :func:`greedy`).
 * :func:`linearized` - one gradient of the measure, then the k candidates
   with the largest first-order improvement, their values read as greedy
   reads them (carried resistances for the closed forms).
@@ -40,8 +41,8 @@ import numpy as np
 
 from .errors import (CombinatorialBlowup, GraphFormatError, InvalidParameter,
                      UnsupportedMeasure)
-from .graphs import Edge, add_link, canonical_edge, load_json, read_links
-from .laplacian import (LaplacianState, downdate_factors, downdated_inverse_spectrum,
+from .graphs import Edge, canonical_edge, load_json, read_links
+from .laplacian import (LaplacianState, downdate_factors, downdated_inverse_spectra,
                         hankel_core, pair_form)
 from .measures import MeasureSpec, companion_value, evaluate, gradient, spectral_value
 
@@ -57,6 +58,8 @@ SLACK = 1e-6
 # then 128 eigen-directions a link moves most (see _pinched_bounds).  A batch
 # of the lowest pending links is tightened together, up to CHUNK * BLOCKS[0]
 # coupled directions in all: CHUNK links at the first level, fewer deeper.
+# On graphs of at most BLOCKS[0] + 1 nodes greedy skips the pinchings, each
+# as costly as an exact score, and scores up to CHUNK links per stacked call.
 # Over seeds 0-39, a grow-spectral-n300 solve (n = 300, p = 1,000, k = 2)
 # computes them for 40-91, 8-24 and 2-9 links (0.03, 0.09 and 0.35 ms a
 # link, against 2 ms for an exact score), then scores 2-4 links.  The 64
@@ -69,6 +72,9 @@ CHUNK = 16
 # temporaries stay near 300 KB each at n = 300, where all 1,000 candidates at
 # once raised peak memory by 10 MiB.
 ROWS = 128
+# Entries of one stack of n x n matrices, links scored or subsets valued by
+# one eigvalsh: 256 KB, so n > 128 stacks one matrix at a time.
+STACK = 32_768
 
 
 @dataclass(frozen=True)
@@ -210,9 +216,17 @@ def _link_arrays(links: Iterable[tuple[Edge, float]]) -> tuple[np.ndarray, ...]:
     return rows, cols, ws
 
 
-def _spectral_score(m: MeasureSpec, state: LaplacianState, i: int, j: int, w: float) -> float:
-    """Post-addition measure value of one link, from the downdated inverse spectrum."""
-    return companion_value(m, downdated_inverse_spectrum(state, (i, j), w), state.n)
+def _spectral_scores(m: MeasureSpec, state: LaplacianState, rows, cols, ws) -> np.ndarray:
+    """Post-addition measure value of each link (rows, cols, ws), added alone,
+    from the downdated inverse spectra: one stacked eigvalsh and one
+    companion_value per STACK entries.  A link's score does not depend on
+    the links stacked with it."""
+    size, scores = max(1, STACK // state.n ** 2), np.empty(len(rows))
+    for start in range(0, len(rows), size):
+        part = slice(start, start + size)
+        spectra = downdated_inverse_spectra(state, rows[part], cols[part], ws[part])
+        scores[part] = companion_value(m, spectra, state.n)
+    return scores
 
 
 def _score_candidates(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarray, ...],
@@ -221,8 +235,7 @@ def _score_candidates(m: MeasureSpec, state: LaplacianState, links: tuple[np.nda
     rows, cols, ws = (a[idx] for a in links)
     form = _CLOSED_FORMS.get(m)
     if form is None:
-        return np.array([_spectral_score(m, state, i, j, w)
-                         for i, j, w in zip(rows.tolist(), cols.tolist(), ws.tolist())])
+        return _spectral_scores(m, state, rows, cols, ws)
     stat = current if form.power is None else float(np.trace(state.pinv_power(form.power)))
     return form.transform(stat - _drop(form, ws, _resistances(form, state, rows, cols)))
 
@@ -297,13 +310,16 @@ def _pruned_scores(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarra
     directions.  A link is scored only while its bound is the lowest pending
     and could still tie the best score, and a bound is tightened only while
     it is within the cut; the cut only falls, so the walk ends with every
-    link left unscored above it.
+    link left unscored above it.  When BLOCKS[0] >= n - 1 the diagonal is
+    the deepest level and up to CHUNK of the lowest pending links within
+    the cut are scored per stacked call; otherwise one link per call.
     """
-    rows, cols, ws = (a[idx].tolist() for a in links)
     scores = np.full(idx.size, math.inf)
     best = math.inf
     deepest = next((level for level, block in enumerate(BLOCKS, 1) if block >= state.n - 1),
                    len(BLOCKS))
+    # A first-level pinching would couple every direction, at an exact score's cost.
+    deepest, per_call = (0, CHUNK) if deepest == 1 else (deepest, 1)
     if idx.size > CHUNK:
         diagonal = _pinched_bounds(m, state, links, idx, 0)
     else:  # one batch, which the diagonal bound would neither order nor filter
@@ -312,9 +328,12 @@ def _pruned_scores(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarra
     heapq.heapify(heap)
     while heap and heap[0][0] <= _cut(best):
         if heap[0][2] == deepest:
-            pos = heapq.heappop(heap)[1]
-            scores[pos] = _spectral_score(m, state, rows[pos], cols[pos], ws[pos])
-            best = min(best, scores[pos])
+            cut, picked = _cut(best), []
+            while (heap and heap[0][2] == deepest and heap[0][0] <= cut
+                   and len(picked) < per_call):
+                picked.append(heapq.heappop(heap)[1])
+            scores[picked] = _spectral_scores(m, state, *(a[idx[picked]] for a in links))
+            best = min(best, float(scores[picked].min()))
             continue
         batches: dict[int, list[int]] = {}
         coupled = 0
@@ -476,6 +495,9 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
     unscored candidate then lies outside the tie band, so the tie rule, the
     picks, the values and `tie_breaks` are those of scoring every candidate.
     The bounds read the spectrum: one eigendecomposition per grown state.
+    Exact scores, also the full scan's, come a stack of links per eigvalsh
+    (:func:`_spectral_scores`).  On graphs of at most BLOCKS[0] + 1 nodes the
+    walk computes no pinching, so no grown state is decomposed.
     """
     _check_instance(state, candidates, k)
     t0 = perf_counter()
@@ -514,20 +536,28 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
     return SynthesisResult("greedy", tuple(chosen), tuple(values), tuple(elapsed), tie_breaks)
 
 
-def _subset_value(m: MeasureSpec, state: LaplacianState,
-                  subset: Iterable[tuple[Edge, float]]) -> float:
-    L = np.array(state.matrix)
-    for (i, j), w in subset:
-        add_link(L, i, j, w)
-    vals = np.linalg.eigvalsh(L)
-    return spectral_value(m, vals[1:], state.n)
+def _grown_values(m: MeasureSpec, state: LaplacianState, rows, cols, ws) -> np.ndarray:
+    """Measure value after adding the links (rows[b, t], cols[b, t], ws[b, t]),
+    t = 0, 1, ..., to L, for each row b, by one stacked eigvalsh.  Each link
+    makes add_link's four additions, so a row's value does not depend on
+    the rows stacked with it; a zero weight adds nothing."""
+    L = np.repeat(np.asarray(state.matrix)[None], len(rows), axis=0)
+    b = np.arange(len(rows))
+    for i, j, w in zip(rows.T, cols.T, ws.T):
+        L[b, i, i] += w
+        L[b, j, j] += w
+        L[b, i, j] -= w
+        L[b, j, i] -= w
+    return spectral_value(m, np.linalg.eigvalsh(L)[:, 1:], state.n)
 
 
 def brute_force(state: LaplacianState, candidates: CandidateSet, k: int,
                 m: MeasureSpec, cap: int = 2_000_000) -> SynthesisResult:
     """Global minimizer over all (p choose k) subsets by full recomputation.
 
-    Subset selection time is attributed to the first step of `elapsed`.
+    The subsets stream in lex order, each stack of STACK entries valued by
+    one eigvalsh of its grown Laplacians; the best subset's prefixes take
+    one more.  All time is attributed to the first step of `elapsed`.
     """
     _check_instance(state, candidates, k)
     n_subsets = math.comb(candidates.p, k)
@@ -535,22 +565,23 @@ def brute_force(state: LaplacianState, candidates: CandidateSet, k: int,
         raise CombinatorialBlowup(f"{n_subsets} subsets exceed the cap of {cap}")
 
     t0 = perf_counter()
-    # Stream the subsets twice rather than hold up to `cap` of them.
-    scores = np.fromiter((_subset_value(m, state, subset)
-                          for subset in combinations(candidates.links, k)),
-                         dtype=float, count=n_subsets)
+    links = candidates.arrays
+    size, scores = max(1, STACK // state.n ** 2), np.empty(n_subsets)
+    subsets = combinations(range(candidates.p), k)
+    for start in range(0, n_subsets, size):
+        chunk = list(islice(subsets, size))
+        S = np.array(chunk, dtype=int).reshape(len(chunk), k)
+        scores[start:start + len(S)] = _grown_values(m, state, *(a[S] for a in links))
     pick, ties = _argmin_lex(scores)
-    best_subset = next(islice(combinations(candidates.links, k), pick, None))
-    search_time = perf_counter() - t0
+    best = list(next(islice(combinations(range(candidates.p), k), pick, None)))
+    # Row t of the prefix stack adds the best subset's first t + 1 links.
+    rows, cols, ws = (a[[best] * k] for a in links)
+    prefixes = _grown_values(m, state, rows, cols, np.where(np.tri(k, dtype=bool), ws, 0.0))
+    values = [evaluate(m, state), *prefixes.tolist()]
+    elapsed = ([perf_counter() - t0] + [0.0] * (k - 1))[:k]
 
-    values = [evaluate(m, state)]
-    elapsed = []
-    for step in range(1, k + 1):
-        t1 = perf_counter()
-        values.append(_subset_value(m, state, best_subset[:step]))
-        elapsed.append(perf_counter() - t1 + (search_time if step == 1 else 0.0))
-
-    return SynthesisResult("brute", tuple(best_subset), tuple(values), tuple(elapsed), ties)
+    chosen = tuple(candidates.links[i] for i in best)
+    return SynthesisResult("brute", chosen, tuple(values), tuple(elapsed), ties)
 
 
 def linearized(state: LaplacianState, candidates: CandidateSet, k: int,

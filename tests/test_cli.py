@@ -66,6 +66,25 @@ def test_exit_codes(tmp_path, k3_file):
     assert run_cli("measure", k3_file, "--measure", "bogus").returncode == 4
 
 
+def test_node_count_above_the_cap_exits_2(tmp_path):
+    """A connected graph too large for a dense Laplacian is refused before
+    the n x n allocation."""
+    from specgrow.graphs import MAX_NODES
+    n = MAX_NODES + 1
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"n": n, "edges": [[i, i + 1, 1.0] for i in range(n - 1)]}))
+    out = run_cli("measure", str(path), "--measure", "zeta:q=1")
+    assert out.returncode == 2 and "Traceback" not in out.stderr, out.stderr
+    assert str(MAX_NODES) in out.stderr
+
+
+def test_ill_conditioned_graph_exits_3(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 4, "edges": [[0, 1, 1.0], [1, 2, 1e-20], [2, 3, 1.0]]}))
+    out = run_cli("measure", str(path), "--measure", "zeta:q=1")
+    assert out.returncode == 3 and "algebraic connectivity" in out.stderr, out.stderr
+
+
 @pytest.mark.parametrize("graph, links", [
     ('{"n": "abc", "edges": [[0, 1, 1.0]]}', None),
     ('{"n": null, "edges": [[0, 1, 1.0]]}', None),

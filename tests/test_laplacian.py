@@ -31,8 +31,17 @@ def test_path3_spectrum():
 
 
 def test_disconnected_raises():
-    with pytest.raises(sg.NotConnected):
+    with pytest.raises(sg.NotConnected) as info:
         sg.build_laplacian(graph(4, [(0, 1, 1.0), (2, 3, 1.0)]))
+    assert not isinstance(info.value, sg.IllConditioned)
+
+
+def test_ill_conditioned_is_told_apart_from_disconnected():
+    # two triangles joined by a 1e-20 link: connected, but lambda_2 is below the tolerance
+    triangles = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (3, 4, 1.0), (3, 5, 1.0), (4, 5, 1.0)]
+    with pytest.raises(sg.IllConditioned, match="algebraic connectivity .* tolerance"):
+        sg.build_laplacian(graph(6, triangles + [(2, 3, 1e-20)]))
+    assert issubclass(sg.IllConditioned, sg.NotConnected)
 
 
 def test_moore_penrose_property():

@@ -446,17 +446,19 @@ def test_greedy_scores_only_links_whose_deepest_bound_ties_the_step_best(monkeyp
     for zero links."""
     from specgrow import synthesis
     scored, sizes = [], []
-    spectral_score, pinched_bounds = synthesis._spectral_score, synthesis._pinched_bounds
+    spectral_scores, pinched_bounds = synthesis._spectral_scores, synthesis._pinched_bounds
 
-    def recording_score(m, state, i, j, w):
-        scored.append((state, i, j, w, spectral_score(m, state, i, j, w)))
-        return scored[-1][-1]
+    def recording_scores(m, state, rows, cols, ws):
+        scores = spectral_scores(m, state, rows, cols, ws)
+        scored.extend(zip([state] * len(scores), rows.tolist(), cols.tolist(), ws.tolist(),
+                          scores.tolist()))
+        return scores
 
     def recording_bounds(m, state, links, idx, block):
         sizes.append(idx.size)
         return pinched_bounds(m, state, links, idx, block)
 
-    monkeypatch.setattr(synthesis, "_spectral_score", recording_score)
+    monkeypatch.setattr(synthesis, "_spectral_scores", recording_scores)
     monkeypatch.setattr(synthesis, "_pinched_bounds", recording_bounds)
     rng = np.random.default_rng(163)
     s = sg.build_laplacian(random_connected(rng, 120))
@@ -481,6 +483,110 @@ def test_greedy_scores_only_links_whose_deepest_bound_ties_the_step_best(monkeyp
                 links = synthesis._link_arrays([((i, j), w)])
                 bound = pinched_bounds(m, state, links, np.arange(1), deepest)[0]
                 assert bound <= cut, (spec, i, j, bound, cut)
+
+
+def test_stacked_spectral_scores_equal_single_link_calls_bit_for_bit(monkeypatch):
+    """A link's exact score does not depend on the links stacked with it, nor
+    on the stack size, at extreme weights, on a grown state and at +inf; it
+    equals the per-link downdate P - c u u^T, one eigvalsh each."""
+    from specgrow import synthesis
+
+    def one_link(m, state, i, j, w):
+        P = np.asarray(state.pinv_power(1))
+        u = P[:, i] - P[:, j]
+        c = 1.0 / (1.0 / w + (u[i] - u[j]))
+        mus = np.maximum(np.linalg.eigvalsh(P - c * np.outer(u, u))[1:], 0.0)
+        return float(sg.companion_value(m, mus[None], state.n)[0])
+
+    rng = np.random.default_rng(179)
+    infinite = 0
+    for _ in range(3):
+        n = int(rng.integers(5, 13))
+        root = sg.build_laplacian(random_connected(rng, n))
+        grown = root.with_edge(*random_candidates(rng, n, 1).links[0])
+        c = random_candidates(rng, n, 12)
+        rows, cols, ws = synthesis._link_arrays(c.links)
+        for state in (root, grown):
+            for scale in (1e-8, 1.0, 1e8):
+                for m in pruning_suite(state):
+                    batch = synthesis._spectral_scores(m, state, rows, cols, scale * ws)
+                    single = [float(synthesis._spectral_scores(
+                        m, state, rows[b:b + 1], cols[b:b + 1], scale * ws[b:b + 1])[0])
+                        for b in range(c.p)]
+                    assert repr(batch.tolist()) == repr(single), (m.label, scale)
+                    loop = [one_link(m, state, i, j, w) for i, j, w in
+                            zip(rows.tolist(), cols.tolist(), (scale * ws).tolist())]
+                    assert repr(loop) == repr(single), (m.label, scale)
+                    with monkeypatch.context() as patch:  # three links a stack
+                        patch.setattr(synthesis, "STACK", 3 * n * n)
+                        chunked = synthesis._spectral_scores(m, state, rows, cols, scale * ws)
+                    assert repr(chunked.tolist()) == repr(single), (m.label, scale)
+                    infinite += single.count(math.inf)
+    assert infinite  # gamma just above its threshold, at 1e-8 weights
+
+
+def test_small_graph_greedy_scores_each_step_in_one_stacked_call(monkeypatch):
+    """Where the first pinching would couple every eigen-direction, greedy
+    computes no pinched bound and scores each step's links in one call."""
+    from specgrow import synthesis
+    sizes = []
+    spectral_scores = synthesis._spectral_scores
+
+    def no_bounds(*args):
+        raise AssertionError("no pinched bound expected")
+
+    def counting_scores(m, state, rows, cols, ws):
+        sizes.append(len(rows))
+        return spectral_scores(m, state, rows, cols, ws)
+
+    monkeypatch.setattr(synthesis, "_pinched_bounds", no_bounds)
+    monkeypatch.setattr(synthesis, "_spectral_scores", counting_scores)
+    rng = np.random.default_rng(181)
+    for _ in range(4):
+        n, p = int(rng.integers(5, 13)), int(rng.integers(3, 9))
+        s = sg.build_laplacian(random_connected(rng, n))
+        c = random_candidates(rng, n, p)
+        k = min(3, c.p)
+        for spec in ("tau:t=1", "hankel", "mq:q=0.5"):
+            sizes.clear()
+            sg.greedy(s, c, k, sg.parse_measure(spec))
+            assert sizes == list(range(c.p, c.p - k, -1)), spec
+
+
+def test_brute_force_equals_the_per_subset_loop_bit_for_bit(monkeypatch):
+    """Stacked subset values against one add_link loop and eigvalsh per
+    subset; streaming in stacks of three changes nothing."""
+    from specgrow import synthesis
+    from specgrow.graphs import add_link
+
+    def loop_values(m, state, subsets):
+        out = []
+        for subset in subsets:
+            L = np.array(state.matrix)
+            for (i, j), w in subset:
+                add_link(L, i, j, w)
+            out.append(float(sg.spectral_value(m, np.linalg.eigvalsh(L)[None, 1:], state.n)[0]))
+        return out
+
+    rng = np.random.default_rng(191)
+    for scale in (1e-8, 1.0, 1e8):
+        n = int(rng.integers(5, 13))
+        s = sg.build_laplacian(random_connected(rng, n))
+        c = sg.CandidateSet.from_triples(
+            [(i, j, scale * w) for (i, j), w in random_candidates(rng, n, 7).links])
+        for m in kind_suite(s):
+            for k in (1, 3):
+                res = sg.brute_force(s, c, k, m)
+                subsets = list(combinations(c.links, k))
+                pick, ties = synthesis._argmin_lex(loop_values(m, s, subsets))
+                assert (res.chosen, res.tie_breaks) == (subsets[pick], ties), (m.label, k)
+                prefixes = loop_values(m, s, [res.chosen[:t] for t in range(1, k + 1)])
+                assert repr(res.values[1:]) == repr(tuple(prefixes)), (m.label, k)
+                with monkeypatch.context() as patch:  # three subsets a stack
+                    patch.setattr(synthesis, "STACK", 3 * n * n)
+                    chunked = sg.brute_force(s, c, k, m)
+                assert (repr(chunked.chosen), repr(chunked.values), chunked.tie_breaks) == \
+                    (repr(res.chosen), repr(res.values), res.tie_breaks), (m.label, k)
 
 
 def test_pinched_bounds_lie_below_the_scores_and_tighten_with_the_block():
