@@ -3,7 +3,9 @@ effective resistances, and the rank-one augmentation engine.
 
 A :class:`LaplacianState` is an immutable snapshot of a connected graph
 holding the Laplacian L and the powers of its Moore-Penrose pseudo-inverse
-(m = 1, 2, 3) read so far, each computed on first read.  Adding an edge
+(m = 1, 2, 3) read so far, each computed on first read as X X^T with
+X = V lambda^(-m/2): one symmetric rank-k product (BLAS syrk), half the
+flops of a general one and exactly symmetric.  Adding an edge
 carries P^1..P^top, where the caller names top, by an O(n^2)
 Sherman-Morrison downdate; any other power of the grown state is computed
 from a fresh eigendecomposition when it is read.  :func:`downdate_factors`
@@ -130,9 +132,10 @@ class LaplacianState:
         if m not in _PINV_POWERS:
             raise InvalidParameter(f"pseudo-inverse power must be in {_PINV_POWERS}, got {m}")
         if m not in self._pinv:
-            V = self.eigvecs[:, 1:]
-            P = (V * (1.0 / self.nonzero_eigvals) ** m) @ V.T
-            self._pinv[m] = _freeze((P + P.T) / 2.0)
+            # X X^T is one BLAS syrk: half the flops of V diag(lambda^-m) V^T
+            # as a general product, and exactly symmetric.
+            X = self.eigvecs[:, 1:] * self.nonzero_eigvals ** (-m / 2.0)
+            self._pinv[m] = _freeze(X @ X.T)
         return self._pinv[m]
 
     def resistance_matrix(self, m: int = 1) -> np.ndarray:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
@@ -79,7 +80,13 @@ STACK = 32_768
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Distinct candidate links with fixed positive weights, kept edge-sorted."""
+    """Distinct candidate links with fixed positive weights, kept edge-sorted.
+
+    Besides its link arrays, a set keeps, per state it is solved on, every
+    link's root resistances under P^1..P^3 (:meth:`_root_resistances`): the
+    closed-form solves on one state read them once, and the entry goes
+    when the state does.
+    """
 
     links: tuple[tuple[Edge, float], ...]
 
@@ -101,6 +108,38 @@ class CandidateSet:
         for a in arrays:
             a.setflags(write=False)
         return arrays
+
+    @cached_property
+    def _memo(self) -> weakref.WeakKeyDictionary:
+        """Root resistances by state (see _root_resistances), each entry
+        dropped when its state is."""
+        return weakref.WeakKeyDictionary()
+
+    def __getstate__(self):  # the memo's weak references do not pickle
+        return {key: v for key, v in self.__dict__.items() if key != "_memo"}
+
+    def _root_resistances(self, state: LaplacianState) -> np.ndarray:
+        """Read-only (3, p) array: row q - 1 holds every link's effective
+        resistance under the state's P^q, q = 1..3, read off its spectrum as
+        r_q = sum_k z_k^2 lambda_k^-q with z = V^T (e_i - e_j), so no power of
+        P is formed.  Built once per state, all rows at once, and shared by
+        every closed-form solve on that state; threads that race to build it
+        store equal arrays."""
+        R = self._memo.get(state)
+        if R is None:
+            rows, cols, _ = self.arrays
+            # Row q - 1 weighs eigenvector k by lambda_k^-q, and the null vector by 0.
+            W = np.zeros((3, state.n))
+            W[:, 1:] = state.nonzero_eigvals ** -np.arange(1.0, 4.0)[:, None]
+            R = np.empty((3, self.p))
+            for start in range(0, self.p, ROWS):
+                part = slice(start, start + ROWS)
+                Z = state.eigvecs.take(rows[part], axis=0)
+                Z -= state.eigvecs.take(cols[part], axis=0)
+                R[:, part] = W @ np.square(Z, out=Z).T
+            R.setflags(write=False)
+            self._memo[state] = R
+        return R
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[int, int, float]]) -> CandidateSet:
@@ -354,9 +393,10 @@ class _Resistances:
 
     For the graph grown so far, with pseudo-inverse P, row q - 1 of R holds
     every candidate's resistance under P^q, q = 1..top, and `stat` the form's
-    statistic.  At the root both come from the spectrum:
-    r_q = sum_k z_k^2 lambda_k^-q with z = V^T (e_i - e_j), and
-    tr P^q = sum_k lambda_k^-q, so no power of P is formed.  A pick downdates
+    statistic.  At the root both come from the spectrum: R copies the top
+    rows of the candidate set's shared root resistances
+    (:meth:`CandidateSet._root_resistances`), and tr P^q = sum_k lambda_k^-q,
+    so no power of P is formed.  A pick downdates
     P^q by sum_{s+t<q} g[q-1-s-t] K_s K_t^T (:func:`downdate_factors`), which
     lowers every r_q by sum_{s+t<q} g[q-1-s-t] y_s y_t, y_s = K_s[rows] -
     K_s[cols], and tr P^q by the same sum over the diagonal: O(p top^2)
@@ -364,24 +404,18 @@ class _Resistances:
     product with P is P0 x - U^T (c * U x), with P0 the root's
     pseudo-inverse and the rows of U, c the u vectors and coefficients of
     the picks so far; once U holds ceil(n/2) rows such a product costs what
-    a dense one does, so the chain is folded into P0.
+    a dense one does, so the chain is folded into P0 by one syrk,
+    P0 - Y Y^T with Y = U^T sqrt(c).
     """
 
     def __init__(self, form: _ClosedForm, state: LaplacianState,
-                 links: tuple[np.ndarray, ...], value: float):
+                 candidates: CandidateSet, value: float):
         self.form, self.root = form, state
-        self.rows, self.cols, self.ws = links
-        # Row q - 1 weighs eigenvector k by lambda_k^-q, and the null vector by 0.
-        W = np.zeros((form.top, state.n))
-        W[:, 1:] = state.nonzero_eigvals ** -np.arange(1.0, form.top + 1.0)[:, None]
-        self.stat = value if form.power is None else float(np.sum(W[form.power - 1]))
-        self.R = np.empty((form.top, self.rows.size))
-        if form.top:
-            for start in range(0, self.rows.size, ROWS):
-                part = slice(start, start + ROWS)
-                Z = state.eigvecs.take(self.rows[part], axis=0)
-                Z -= state.eigvecs.take(self.cols[part], axis=0)
-                self.R[:, part] = W @ np.square(Z, out=Z).T
+        self.rows, self.cols, self.ws = candidates.arrays
+        lams = state.nonzero_eigvals
+        self.stat = value if form.power is None else float(np.sum(lams ** -float(form.power)))
+        self.R = (np.array(candidates._root_resistances(state)[:form.top]) if form.top
+                  else np.empty((0, candidates.p)))
         self.P = None  # P0, read at the first pick
 
     def scores(self, idx=slice(None)) -> np.ndarray:
@@ -421,7 +455,8 @@ class _Resistances:
         self.U[self.picks], self.c[self.picks] = u, coef
         self.picks += 1
         if self.picks == self.U.shape[0]:
-            self.P = self.P - (self.U.T * self.c) @ self.U
+            Y = self.U.T * np.sqrt(self.c)
+            self.P = self.P - Y @ Y.T
             self.picks = 0
 
 
@@ -469,12 +504,16 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
     """Add the best single link k times.
 
     Closed-form measures grow no state: each candidate's resistances under
-    P^1..P^top are read off the root's spectrum and, between picks, lowered
-    elementwise by the pair form of the pick's rank-one downdate
-    (:class:`_Resistances`), so a pick costs top - 1 products of P with a
-    vector plus O(p top^2) elementwise work.  Each step scores all p
-    candidates and gives the picked ones an infinite score; a closed-form
-    minimum is finite, so the tie rule sees exactly the candidates left.
+    P^1..P^top are read off the root's spectrum, once per state and candidate
+    set for all closed-form solves (:meth:`CandidateSet._root_resistances`),
+    and, between picks, lowered elementwise by the pair form of the pick's
+    rank-one downdate (:class:`_Resistances`), so a pick costs top - 1
+    products of P with a vector plus O(p top^2) elementwise work.  The
+    root's P is formed at the first pick that needs it, by one syrk
+    (:meth:`LaplacianState.pinv_power`), and kept by the state.  Each step
+    scores all p candidates and gives the picked ones an infinite score; a
+    closed-form minimum is finite, so the tie rule sees exactly the
+    candidates left.
     Every other measure updates the state rank-one between picks only: k - 1
     updates in all.  Set-up time is attributed to the first step of `elapsed`.
 
@@ -504,7 +543,7 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
     links = candidates.arrays
     form = _CLOSED_FORMS.get(m)
     values = [evaluate(m, state)]
-    carried = None if form is None else _Resistances(form, state, links, values[0])
+    carried = None if form is None else _Resistances(form, state, candidates, values[0])
     remaining = np.arange(candidates.p)  # unpicked links, for the pruned scores
     picked: list[int] = []
     chosen: list[tuple[Edge, float]] = []
@@ -539,16 +578,16 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
 def _grown_values(m: MeasureSpec, state: LaplacianState, rows, cols, ws) -> np.ndarray:
     """Measure value after adding the links (rows[b, t], cols[b, t], ws[b, t]),
     t = 0, 1, ..., to L, for each row b, by one stacked eigvalsh.  Each link
-    makes add_link's four additions, so a row's value does not depend on
-    the rows stacked with it; a zero weight adds nothing."""
+    makes add_link's four additions, in link order, through one unbuffered
+    flat np.add.at, so a row's value does not depend on the rows stacked
+    with it; a zero weight adds nothing."""
+    n = state.n
     L = np.repeat(np.asarray(state.matrix)[None], len(rows), axis=0)
-    b = np.arange(len(rows))
-    for i, j, w in zip(rows.T, cols.T, ws.T):
-        L[b, i, i] += w
-        L[b, j, j] += w
-        L[b, i, j] -= w
-        L[b, j, i] -= w
-    return spectral_value(m, np.linalg.eigvalsh(L)[:, 1:], state.n)
+    # Flat offsets of (i, i), (j, j), (i, j) and (j, i) in row b's matrix.
+    at = np.stack([rows * (n + 1), cols * (n + 1), rows * n + cols, cols * n + rows], axis=-1)
+    at += (np.arange(len(rows)) * n * n)[:, None, None]
+    np.add.at(L.reshape(-1), at.ravel(), np.stack([ws, ws, -ws, -ws], axis=-1).ravel())
+    return spectral_value(m, np.linalg.eigvalsh(L)[:, 1:], n)
 
 
 def brute_force(state: LaplacianState, candidates: CandidateSet, k: int,
@@ -574,8 +613,10 @@ def brute_force(state: LaplacianState, candidates: CandidateSet, k: int,
         scores[start:start + len(S)] = _grown_values(m, state, *(a[S] for a in links))
     pick, ties = _argmin_lex(scores)
     best = list(next(islice(combinations(range(candidates.p), k), pick, None)))
-    # Row t of the prefix stack adds the best subset's first t + 1 links.
-    rows, cols, ws = (a[[best] * k] for a in links)
+    # Row t of the prefix stack adds the best subset's first t + 1 links
+    # (k x k, also for k = 0).
+    S = np.array([best] * k, dtype=int).reshape(k, k)
+    rows, cols, ws = (a[S] for a in links)
     prefixes = _grown_values(m, state, rows, cols, np.where(np.tri(k, dtype=bool), ws, 0.0))
     values = [evaluate(m, state), *prefixes.tolist()]
     elapsed = ([perf_counter() - t0] + [0.0] * (k - 1))[:k]
@@ -608,7 +649,7 @@ def linearized(state: LaplacianState, candidates: CandidateSet, k: int,
         order[step], remaining = remaining[pick], np.delete(remaining, pick)
     values = [evaluate(m, state)]
     form = _CLOSED_FORMS.get(m)
-    carried = None if form is None else _Resistances(form, state, links, values[0])
+    carried = None if form is None else _Resistances(form, state, candidates, values[0])
     select_time = perf_counter() - t0
 
     elapsed = []

@@ -66,6 +66,26 @@ def test_pinv_matches_bordered_inverse_oracle():
         assert np.allclose(s.pinv_power(3), oracle @ oracle @ oracle, atol=1e-9)
 
 
+def test_pinv_powers_are_exactly_symmetric_products_of_the_spectrum():
+    """Each power is X X^T with X = V lambda^(-m/2): exactly symmetric, and
+    within 1e-13 of V diag(lambda^-m) V^T relative to its largest entry, also
+    on graphs holding a 1e8 link."""
+    rng = np.random.default_rng(29)
+    graphs = []
+    for n in (7, 30, 61):
+        graphs.append(random_connected(rng, n))
+        g = random_connected(rng, n)
+        graphs.append(g.with_edge(next(iter(g.edges)), 1e8))
+    for g in graphs:
+        s = sg.build_laplacian(g)
+        V, lams = np.asarray(s.eigvecs)[:, 1:], np.asarray(s.nonzero_eigvals)
+        for m in (1, 2, 3):
+            P = np.asarray(s.pinv_power(m))
+            reference = (V * lams ** -float(m)) @ V.T
+            assert np.array_equal(P, P.T), (g.n, m)
+            assert np.max(np.abs(P - reference)) <= 1e-13 * np.max(np.abs(reference)), (g.n, m)
+
+
 def test_two_node_pinv_powers():
     s = sg.build_laplacian(two_node())
     assert np.allclose(s.pinv_power(1), [[0.25, -0.25], [-0.25, 0.25]], atol=1e-14)

@@ -390,6 +390,11 @@ def test_carried_resistances_match_grown_states():
     s = sg.build_laplacian(random_connected(rng, 9))
     c = random_candidates(rng, 9, 30)
     check(s, c, c.p)
+    # and at ceil(n/2) = 6, on a graph holding a 1e8 link
+    g = random_connected(rng, 12)
+    s = sg.build_laplacian(g.with_edge(next(iter(g.edges)), 1e8))
+    c = random_candidates(rng, 12, 26)
+    check(s, c, c.p)
 
 
 def test_carried_values_at_heavy_weights_stay_within_the_known_error():
@@ -777,6 +782,37 @@ def test_greedy_does_not_depend_on_powers_read_earlier(monkeypatch):
             assert after.tie_breaks == fresh.tie_breaks, (solver.__name__, spec)
 
 
+def test_closed_form_runs_do_not_depend_on_solve_order():
+    """A volume solve fills the candidate set's root resistances for its
+    state; a zeta:q=2 solve after it equals one on a cold state and set.  The
+    shared array is read-only, no solve changes it, and it goes with its state."""
+    import gc
+    import pickle
+    rng = np.random.default_rng(199)
+    volume, zeta2 = sg.parse_measure("volume"), sg.parse_measure("zeta:q=2")
+    for scale in (1e-8, 1.0, 1e8):
+        n = int(rng.integers(56, 65))
+        g = random_connected(rng, n)
+        triples = [(i, j, scale * w) for (i, j), w in random_candidates(rng, n, 80).links]
+        for solver in (sg.greedy, sg.linearized):
+            s, c = sg.build_laplacian(g), sg.CandidateSet.from_triples(triples)
+            solver(s, c, 8, volume)
+            shared = c._root_resistances(s)
+            held = shared.copy()
+            warm = solver(s, c, 8, zeta2)
+            cold = solver(sg.build_laplacian(g), sg.CandidateSet.from_triples(triples), 8, zeta2)
+            assert (repr(warm.chosen), repr(warm.values), warm.tie_breaks) == \
+                (repr(cold.chosen), repr(cold.values), cold.tie_breaks), (scale, solver.__name__)
+            assert c._root_resistances(s) is shared and np.array_equal(shared, held)
+            with pytest.raises(ValueError):
+                shared[0, 0] = 0.0
+            assert len(c._memo) == 1
+            assert pickle.loads(pickle.dumps(c)) == c  # the memo is left out
+            del s
+            gc.collect()
+            assert len(c._memo) == 0, (scale, solver.__name__)
+
+
 def test_linearized_trajectory_matches_rebuild():
     rng = np.random.default_rng(131)
     g = random_connected(rng, 12)
@@ -863,3 +899,5 @@ def test_result_shape_contract():
         assert len({e for e, _ in res.chosen}) == 3  # distinct picks
         obj = res.to_json_obj()
         assert obj["algorithm"] == name and len(obj["chosen"]) == 3
+        empty = algo(s, c, 0, m)  # k = 0 picks nothing and keeps the start value
+        assert (empty.chosen, empty.values, empty.elapsed) == ((), res.values[:1], ())
