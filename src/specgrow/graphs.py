@@ -40,6 +40,14 @@ def canonical_edge(i: int, j: int) -> Edge:
     return (i, j) if i < j else (j, i)
 
 
+def node_pair(i: int, j: int, n) -> Edge:
+    """canonical_edge(i, j), whose node ids must lie in [0, n)."""
+    e = canonical_edge(i, j)
+    if not (0 <= e[0] and e[1] < n):
+        raise GraphFormatError(f"link {e} outside node range [0, {n})")
+    return e
+
+
 def read_links(triples: Iterable, n: int | None = None) -> dict[Edge, float]:
     """The canonical {edge: weight} map of (i, j, w) link triples.
 
@@ -53,10 +61,8 @@ def read_links(triples: Iterable, n: int | None = None) -> dict[Edge, float]:
     links: dict[Edge, float] = {}
     try:
         for i, j, w in triples:
-            e = canonical_edge(i, j)
+            e = node_pair(i, j, hi)
             w = float(w)
-            if not (0 <= e[0] and e[1] < hi):
-                raise GraphFormatError(f"link {e} outside node range [0, {hi})")
             if not 0.0 < w < math.inf:
                 raise GraphFormatError(f"link {e} has weight {w}, not positive and finite")
             if e in links:

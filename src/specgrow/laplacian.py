@@ -1,61 +1,32 @@
-"""Laplacian spectral state: eigendecomposition, pseudo-inverse powers,
-effective resistances, and the rank-one augmentation engine.
+"""Laplacian spectral state: eigendecomposition, pseudo-inverse and the
+rank-one augmentation engine.
 
 A :class:`LaplacianState` is an immutable snapshot of a connected graph
-holding the Laplacian L and the powers of its Moore-Penrose pseudo-inverse
-(m = 1, 2, 3) read so far, each computed on first read as X X^T with
-X = V lambda^(-m/2): one symmetric rank-k product (BLAS syrk), half the
-flops of a general one and exactly symmetric.  Adding an edge
-carries P^1..P^top, where the caller names top, by an O(n^2)
-Sherman-Morrison downdate; any other power of the grown state is computed
-from a fresh eigendecomposition when it is read.  :func:`downdate_factors`
-writes that downdate once, for this engine and for the closed-form greedy,
-which applies it to candidate resistances alone.  Effective resistances,
-the graph itself and, after a downdate, the eigendecomposition are computed
-lazily, only when something reads them.
+holding the Laplacian L and, once read, its Moore-Penrose pseudo-inverse P,
+formed as X X^T with X = V lambda^(-1/2): one symmetric rank-k product
+(BLAS syrk), half the flops of a general one and exactly symmetric.  Adding
+a link of weight w carries P by one O(n^2) Sherman-Morrison downdate,
+P - c u u^T.  The graph itself and, after a downdate, the eigendecomposition
+are computed lazily, only when something reads them.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import IllConditioned, InvalidParameter, NotConnected
-from .graphs import Edge, WeightedGraph, add_link, canonical_edge
-
-_PINV_POWERS = (1, 2, 3)
+from .graphs import Edge, WeightedGraph, add_link, node_pair
 
 
 def pair_form(M: np.ndarray, rows, cols):
     """(e_i - e_j)^T M (e_i - e_j) for the pairs (rows, cols), which broadcast.
 
-    On a pseudo-inverse power P^m this is the effective resistance under L^m.
+    On the pseudo-inverse P this is the effective resistance.
     """
     d = np.diag(M)
     return d[rows] + d[cols] - 2.0 * M[rows, cols]
-
-
-def downdate_factors(apply, u: np.ndarray, c: float, top: int):
-    """Factors of the rank-one downdate of the pseudo-inverse powers P^1..P^top.
-
-    With u = P(e_i - e_j) and c = (1/w + r_e(L))^-1, adding w L_e downdates P
-    to P - c u u^T, and P^m to P^m - sum_{s+t<m} g[m-1-s-t] K_s K_t^T with the
-    rows K = [u, Pu, P^2 u][:top]; apply(x) is the product P x.  Returns K and
-    the Hankel coefficients g, where g[k] sums the terms with k+1 factors
-    c u u^T.
-    """
-    krylov = [u]
-    while len(krylov) < top:
-        krylov.append(apply(krylov[-1]))
-    h = [float(u @ v) for v in krylov]  # r_e(L^2), r_e(L^3), ...
-    g = (c, -c * c * h[0], c * c * (c * h[0] * h[0] - h[1]) if top > 1 else 0.0)
-    return np.array(krylov), g[:top]
-
-
-def hankel_core(g, m: int) -> np.ndarray:
-    """The m x m core C_m of the downdate of P^m: C[s, t] = g[m-1-s-t] for
-    s + t < m, else 0."""
-    return np.array([[g[m - 1 - s - t] if s + t < m else 0.0 for t in range(m)]
-                     for s in range(m)])
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -67,16 +38,16 @@ class LaplacianState:
     """Read-only spectral state of a connected weighted graph.
 
     Construct with :func:`build_laplacian`; grow with :meth:`with_edge`,
-    which carries P^1..P^top.  Stores L and the pseudo-inverse powers read
-    so far; resistances and :attr:`graph` are derived when asked for.
-    Instances never mutate user-visible data and may be shared freely across
-    threads (the lazy eigendecomposition and powers are idempotent caches).
+    which carries P.  Stores L and, once read, P; :attr:`graph` is derived
+    when asked for.  Instances never mutate user-visible data and may be
+    shared freely across threads (the lazy eigendecomposition and P are
+    idempotent caches).
     """
 
-    def __init__(self, matrix: np.ndarray, pinv: dict[int, np.ndarray] | None = None,
+    def __init__(self, matrix: np.ndarray, pinv: np.ndarray | None = None,
                  eigvals=None, eigvecs=None):
         self.matrix = _freeze(matrix)
-        self._pinv = {m: _freeze(P) for m, P in (pinv or {}).items()}
+        self._pinv = None if pinv is None else _freeze(pinv)
         self._eigvals = eigvals
         self._eigvecs = eigvecs
 
@@ -125,56 +96,38 @@ class LaplacianState:
         """Nonzero eigenvalues of the pseudo-inverse, ascending."""
         return 1.0 / self.nonzero_eigvals[::-1]
 
-    # --- pseudo-inverse powers and resistances -------------------------
+    # --- pseudo-inverse --------------------------------------------------
 
-    def pinv_power(self, m: int = 1) -> np.ndarray:
-        """The pseudo-inverse power P^m, m in {1, 2, 3}, computed on first read."""
-        if m not in _PINV_POWERS:
-            raise InvalidParameter(f"pseudo-inverse power must be in {_PINV_POWERS}, got {m}")
-        if m not in self._pinv:
-            # X X^T is one BLAS syrk: half the flops of V diag(lambda^-m) V^T
+    @property
+    def pinv(self) -> np.ndarray:
+        """The pseudo-inverse P, read-only, formed on first read."""
+        if self._pinv is None:
+            # X X^T is one BLAS syrk: half the flops of V diag(1/lambda) V^T
             # as a general product, and exactly symmetric.
-            X = self.eigvecs[:, 1:] * self.nonzero_eigvals ** (-m / 2.0)
-            self._pinv[m] = _freeze(X @ X.T)
-        return self._pinv[m]
-
-    def resistance_matrix(self, m: int = 1) -> np.ndarray:
-        """Matrix of pairwise effective resistances under L^m, computed per call."""
-        idx = np.arange(self.n)
-        return pair_form(self.pinv_power(m), idx[:, None], idx[None, :])
-
-    def edge_resistance(self, edge: Edge, m: int = 1) -> float:
-        i, j = canonical_edge(*edge)
-        return float(pair_form(self.pinv_power(m), i, j))
+            X = self.eigvecs[:, 1:] * self.nonzero_eigvals ** -0.5
+            self._pinv = _freeze(X @ X.T)
+        return self._pinv
 
     # --- rank-one growth ------------------------------------------------
 
-    def with_edge(self, edge: Edge, weight: float, top: int = 1) -> LaplacianState:
-        """State for L + w*L_e carrying P^1..P^top, updated in O(n^2) per power.
+    def with_edge(self, edge: Edge, weight: float) -> LaplacianState:
+        """State for L + w L_e carrying P by the Sherman-Morrison downdate
+        P - c u u^T, u = P (e_i - e_j), c = (1/w + r_e)^-1: O(n^2).
 
-        Each power m <= top is read here (computed if this state does not
-        hold it) and carried by one correction P^m - K_m^T C_m K_m, from the
-        factors of :func:`downdate_factors`.  The new state holds no other power.
+        Raises GraphFormatError for a node id outside [0, n), and
+        InvalidParameter unless 0 < w < inf.
         """
-        i, j = canonical_edge(*edge)
+        i, j = node_pair(*edge, self.n)
         w = float(weight)
-        if not (w > 0.0):
-            raise InvalidParameter(f"edge weight must be positive, got {weight}")
-        if top not in _PINV_POWERS:
-            raise InvalidParameter(f"top power must be in {_PINV_POWERS}, got {top}")
-
-        P1 = np.asarray(self.pinv_power(1))
-        u = P1[:, i] - P1[:, j]
-        c = 1.0 / (1.0 / w + float(pair_form(P1, i, j)))
-        K, g = downdate_factors(lambda x: P1 @ x, u, c, top)
-        pinv = {}
-        for m in range(1, top + 1):
-            Q = (K[:m].T @ hankel_core(g, m)) @ K[:m]
-            pinv[m] = np.subtract(self.pinv_power(m), Q, out=Q)
-
+        if not (0.0 < w < math.inf):
+            raise InvalidParameter(f"edge weight must be positive and finite, got {weight}")
+        P = np.asarray(self.pinv)
+        u = P[:, i] - P[:, j]
+        c = 1.0 / (1.0 / w + float(pair_form(P, i, j)))
+        Q = np.multiply.outer(u * c, u)
         L = np.array(self.matrix)
         add_link(L, i, j, w)
-        return LaplacianState(L, pinv)
+        return LaplacianState(L, np.subtract(P, Q, out=Q))
 
 
 def downdated_inverse_spectra(state: LaplacianState, rows, cols, ws) -> np.ndarray:
@@ -185,13 +138,13 @@ def downdated_inverse_spectra(state: LaplacianState, rows, cols, ws) -> np.ndarr
     A weight may be inf: the downdate coefficient (1/w + r_e)^-1 is then
     1/r_e, the infinite-coupling limit.
     """
-    P1 = np.asarray(state.pinv_power(1))
-    U = (P1[:, rows] - P1[:, cols]).T
+    P = np.asarray(state.pinv)
+    U = (P[:, rows] - P[:, cols]).T
     link = np.arange(U.shape[0])
     c = 1.0 / (1.0 / np.asarray(ws, dtype=float) + (U[link, rows] - U[link, cols]))
     S = U[:, :, None] * U[:, None, :]
     S *= c[:, None, None]
-    mus = np.linalg.eigvalsh(np.subtract(P1, S, out=S))
+    mus = np.linalg.eigvalsh(np.subtract(P, S, out=S))
     return np.maximum(mus[:, 1:], 0.0)
 
 
@@ -219,7 +172,7 @@ def _connected(graph: WeightedGraph) -> bool:
 
 
 def build_laplacian(graph: WeightedGraph) -> LaplacianState:
-    """Decompose the graph Laplacian; pseudo-inverse powers wait for a first read.
+    """Decompose the graph Laplacian; the pseudo-inverse waits for a first read.
 
     Raises:
         NotConnected: if the links leave more than one component (checked

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidParameter, UnsupportedMeasure
-from .graphs import Edge, WeightedGraph, canonical_edge
+from .graphs import Edge, WeightedGraph, node_pair
 from .laplacian import LaplacianState, downdated_inverse_spectra
 from .measures import MeasureSpec, companion_value, evaluate, spectral_value
 
@@ -54,9 +54,10 @@ def max_single_link_gain(state: LaplacianState, edge: Edge, m: MeasureSpec) -> f
     """Ceiling on the decrease one link at this location can produce.
 
     This is the infinite-weight limit; for the volume and mq measures it
-    is +inf (one link can improve them without bound).
+    is +inf (one link can improve them without bound).  Raises
+    GraphFormatError for a node id outside [0, n).
     """
-    i, j = canonical_edge(*edge)
+    i, j = node_pair(*edge, state.n)
     mus = downdated_inverse_spectra(state, [i], [j], [math.inf])[0]
     # The infinite-weight downdate loses one more rank; snap the noise-level
     # eigenvalue to an exact zero so per-measure limits (e.g. -inf) apply.

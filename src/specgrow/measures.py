@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (AxiomViolation, InvalidParameter, MeasureSpecError,
                      NonDifferentiableMeasure, NotConnected)
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, node_pair
 from .graphs import meet as graph_meet
 from .graphs import union as graph_union
 from .laplacian import LaplacianState, connectivity_tolerance, pair_form
@@ -230,7 +230,7 @@ def gradient(m: MeasureSpec, state: LaplacianState) -> np.ndarray:
     """
     n = state.n
     if m.kind == "volume":
-        return -(np.asarray(state.pinv_power(1)) + np.ones((n, n)) / n)
+        return -(np.asarray(state.pinv) + np.ones((n, n)) / n)
     d = phi_prime(m, state.nonzero_eigvals)
     V = np.asarray(state.eigvecs)[:, 1:]
     G = (V * d) @ V.T
@@ -240,7 +240,7 @@ def gradient(m: MeasureSpec, state: LaplacianState) -> np.ndarray:
 def directional_derivative(m: MeasureSpec, state: LaplacianState,
                            edge, weight: float) -> float:
     """tr(grad * w L_e): first-order change when adding the weighted edge."""
-    return float(weight * pair_form(gradient(m, state), *edge))
+    return float(weight * pair_form(gradient(m, state), *node_pair(*edge, state.n)))
 
 
 # --- axiom and supermodularity checkers --------------------------------------

@@ -18,6 +18,11 @@ candidate link set:
   with the largest first-order improvement, their values read as greedy
   reads them (carried resistances for the closed forms).
 
+Every closed-form score starts from effective resistances under P, P^2
+and P^3 read off the state's spectrum by one function
+(:func:`_spectral_resistances`), for a candidate set and for
+:func:`closed_form_delta` alike; no power of P beyond P itself is formed.
+
 All tie-breaking is deterministic and follows one rule: the pick is the
 lex-smallest candidate within 1e-12 relative of the minimum score
 (relative to max(1, |minimum|)).  Greedy and linearized apply it pick by
@@ -42,9 +47,8 @@ import numpy as np
 
 from .errors import (CombinatorialBlowup, GraphFormatError, InvalidParameter,
                      UnsupportedMeasure)
-from .graphs import Edge, canonical_edge, load_json, read_links
-from .laplacian import (LaplacianState, downdate_factors, downdated_inverse_spectra,
-                        hankel_core, pair_form)
+from .graphs import Edge, load_json, node_pair, read_links
+from .laplacian import LaplacianState, downdated_inverse_spectra, pair_form
 from .measures import MeasureSpec, companion_value, evaluate, gradient, spectral_value
 
 TIE_REL = 1e-12
@@ -119,24 +123,13 @@ class CandidateSet:
         return {key: v for key, v in self.__dict__.items() if key != "_memo"}
 
     def _root_resistances(self, state: LaplacianState) -> np.ndarray:
-        """Read-only (3, p) array: row q - 1 holds every link's effective
-        resistance under the state's P^q, q = 1..3, read off its spectrum as
-        r_q = sum_k z_k^2 lambda_k^-q with z = V^T (e_i - e_j), so no power of
-        P is formed.  Built once per state, all rows at once, and shared by
-        every closed-form solve on that state; threads that race to build it
-        store equal arrays."""
+        """Read-only (3, p) array: every link's resistances under the state's
+        P^1..P^3 (:func:`_spectral_resistances`).  Built once per state, all
+        rows at once, and shared by every closed-form solve on that state;
+        threads that race to build it store equal arrays."""
         R = self._memo.get(state)
         if R is None:
-            rows, cols, _ = self.arrays
-            # Row q - 1 weighs eigenvector k by lambda_k^-q, and the null vector by 0.
-            W = np.zeros((3, state.n))
-            W[:, 1:] = state.nonzero_eigvals ** -np.arange(1.0, 4.0)[:, None]
-            R = np.empty((3, self.p))
-            for start in range(0, self.p, ROWS):
-                part = slice(start, start + ROWS)
-                Z = state.eigvecs.take(rows[part], axis=0)
-                Z -= state.eigvecs.take(cols[part], axis=0)
-                R[:, part] = W @ np.square(Z, out=Z).T
+            R = _spectral_resistances(state, *self.arrays[:2])
             R.setflags(write=False)
             self._memo[state] = R
         return R
@@ -222,13 +215,27 @@ _CLOSED_FORMS = {
 }
 
 
-def _resistances(form: _ClosedForm, state: LaplacianState, rows, cols) -> dict:
-    """Resistances r[q] of the links (rows, cols) under the state's P^q, q = 1..top."""
-    return {q: pair_form(state.pinv_power(q), rows, cols) for q in range(1, form.top + 1)}
+def _spectral_resistances(state: LaplacianState, rows, cols) -> np.ndarray:
+    """(3, len(rows)) array: row q - 1 holds the effective resistance of each
+    link (rows, cols) under the state's P^q, q = 1..3, read off its spectrum
+    as r_q = sum_k z_k^2 lambda_k^-q with z = V^T (e_i - e_j), so no power of
+    P is formed.  ROWS links at a time."""
+    # Row q - 1 weighs eigenvector k by lambda_k^-q, and the null vector by 0.
+    W = np.zeros((3, state.n))
+    W[:, 1:] = state.nonzero_eigvals ** -np.arange(1.0, 4.0)[:, None]
+    R = np.empty((3, len(rows)))
+    for start in range(0, len(rows), ROWS):
+        part = slice(start, start + ROWS)
+        Z = state.eigvecs.take(rows[part], axis=0)
+        Z -= state.eigvecs.take(cols[part], axis=0)
+        R[:, part] = W @ np.square(Z, out=Z).T
+    return R
 
 
-def _drop(form: _ClosedForm, ws, r: dict):
-    """Decrease of the form's statistic for links at weights ws with resistances r."""
+def _drop(form: _ClosedForm, ws, R):
+    """Decrease of the form's statistic for links at weights ws whose
+    resistance under P^q is R[q - 1]."""
+    r = dict(enumerate(R[:form.top], 1))
     return form.drop(ws, 1.0 / (1.0 / ws + r[1]) if form.top else None, r)
 
 
@@ -238,13 +245,22 @@ def closed_form_delta(m: MeasureSpec, state: LaplacianState, edge: Edge, weight:
     Supported: zeta:q=1, volume, mq:q=1 (whose decrease is 2 w), and
     zeta:q=2 (for which the returned decrease is on the squared scale, tr of
     the squared pseudo-inverse).
-    A weight of inf gives the infinite-coupling limit.
+    A weight of inf gives the infinite-coupling limit.  The resistances are
+    read off the state's spectrum, as closed-form greedy reads them.
+
+    Raises:
+        GraphFormatError: for a node id outside [0, n).
+        InvalidParameter: unless the weight is > 0.
     """
     form = _CLOSED_FORMS.get(m)
     if form is None:
         raise UnsupportedMeasure(f"no resistance closed form for {m.label}")
-    i, j = canonical_edge(*edge)
-    return float(_drop(form, float(weight), _resistances(form, state, i, j)))
+    i, j = node_pair(*edge, state.n)
+    w = float(weight)
+    if not (w > 0.0):
+        raise InvalidParameter(f"link weight must be positive, got {weight}")
+    R = _spectral_resistances(state, [i], [j])[:, 0] if form.top else ()
+    return float(_drop(form, w, R))
 
 
 def _link_arrays(links: Iterable[tuple[Edge, float]]) -> tuple[np.ndarray, ...]:
@@ -266,17 +282,6 @@ def _spectral_scores(m: MeasureSpec, state: LaplacianState, rows, cols, ws) -> n
         spectra = downdated_inverse_spectra(state, rows[part], cols[part], ws[part])
         scores[part] = companion_value(m, spectra, state.n)
     return scores
-
-
-def _score_candidates(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarray, ...],
-                      idx: np.ndarray, current: float) -> np.ndarray:
-    """Post-addition measure value for each link idx of the arrays `links`."""
-    rows, cols, ws = (a[idx] for a in links)
-    form = _CLOSED_FORMS.get(m)
-    if form is None:
-        return _spectral_scores(m, state, rows, cols, ws)
-    stat = current if form.power is None else float(np.trace(state.pinv_power(form.power)))
-    return form.transform(stat - _drop(form, ws, _resistances(form, state, rows, cols)))
 
 
 def _first_order(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarray, ...],
@@ -388,6 +393,30 @@ def _pruned_scores(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarra
     return scores
 
 
+def _downdate_factors(apply, u: np.ndarray, c: float, top: int):
+    """Factors of the rank-one downdate of the pseudo-inverse powers P^1..P^top.
+
+    With u = P(e_i - e_j) and c = (1/w + r_e(L))^-1, adding w L_e downdates P
+    to P - c u u^T, and P^m to P^m - sum_{s+t<m} g[m-1-s-t] K_s K_t^T with the
+    rows K = [u, Pu, P^2 u][:top]; apply(x) is the product P x.  Returns K and
+    the Hankel coefficients g, where g[k] sums the terms with k+1 factors
+    c u u^T.
+    """
+    krylov = [u]
+    while len(krylov) < top:
+        krylov.append(apply(krylov[-1]))
+    h = [float(u @ v) for v in krylov]  # r_e(L^2), r_e(L^3), ...
+    g = (c, -c * c * h[0], c * c * (c * h[0] * h[0] - h[1]) if top > 1 else 0.0)
+    return np.array(krylov), g[:top]
+
+
+def _hankel_core(g, m: int) -> np.ndarray:
+    """The m x m core C_m of the downdate of P^m: C[s, t] = g[m-1-s-t] for
+    s + t < m, else 0."""
+    return np.array([[g[m - 1 - s - t] if s + t < m else 0.0 for t in range(m)]
+                     for s in range(m)])
+
+
 class _Resistances:
     """Closed-form scores, carried across picks without a grown state.
 
@@ -397,7 +426,7 @@ class _Resistances:
     rows of the candidate set's shared root resistances
     (:meth:`CandidateSet._root_resistances`), and tr P^q = sum_k lambda_k^-q,
     so no power of P is formed.  A pick downdates
-    P^q by sum_{s+t<q} g[q-1-s-t] K_s K_t^T (:func:`downdate_factors`), which
+    P^q by sum_{s+t<q} g[q-1-s-t] K_s K_t^T (:func:`_downdate_factors`), which
     lowers every r_q by sum_{s+t<q} g[q-1-s-t] y_s y_t, y_s = K_s[rows] -
     K_s[cols], and tr P^q by the same sum over the diagonal: O(p top^2)
     elementwise work after the top - 1 products with P that build K.  A
@@ -420,8 +449,7 @@ class _Resistances:
 
     def scores(self, idx=slice(None)) -> np.ndarray:
         """Post-addition measure value of each candidate idx (all by default)."""
-        r = dict(enumerate(self.R[:, idx], 1))
-        return self.form.transform(self.stat - _drop(self.form, self.ws[idx], r))
+        return self.form.transform(self.stat - _drop(self.form, self.ws[idx], self.R[:, idx]))
 
     def _product(self, x: np.ndarray) -> np.ndarray:
         out = self.P @ x
@@ -440,16 +468,16 @@ class _Resistances:
             return
         if self.P is None:
             n = self.root.n
-            self.P = np.asarray(self.root.pinv_power(1))
+            self.P = np.asarray(self.root.pinv)
             self.U, self.c, self.picks = np.empty(((n + 1) // 2, n)), np.empty((n + 1) // 2), 0
         u = self.P[i] - self.P[j]  # P is symmetric; its rows are contiguous
         if self.picks:
             U = self.U[:self.picks]
             u -= (self.c[:self.picks] * (U[:, i] - U[:, j])) @ U
         coef = 1.0 / (1.0 / w + self.R[0, link])
-        K, g = downdate_factors(self._product, u, coef, top)
+        K, g = _downdate_factors(self._product, u, coef, top)
         if power is not None:  # tr K_s K_t^T = K_s . K_t
-            self.stat -= float(np.sum(hankel_core(g, power) * (K[:power] @ K[:power].T)))
+            self.stat -= float(np.sum(_hankel_core(g, power) * (K[:power] @ K[:power].T)))
         # Picked candidates are updated too, and nothing reads them again.
         self.R -= _hankel_drops(g, K.take(self.rows, axis=1) - K.take(self.cols, axis=1))
         self.U[self.picks], self.c[self.picks] = u, coef
@@ -477,7 +505,7 @@ def _hankel_drops(g, Y: np.ndarray) -> np.ndarray:
         for s in range((k + 1) // 2):
             a = a + twice[s] * Y[k - s]
         A[k] = a
-    return hankel_core(g, top)[::-1] @ A
+    return _hankel_core(g, top)[::-1] @ A
 
 
 def _argmin_lex(scores) -> tuple[int, int]:
@@ -510,7 +538,7 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
     rank-one downdate (:class:`_Resistances`), so a pick costs top - 1
     products of P with a vector plus O(p top^2) elementwise work.  The
     root's P is formed at the first pick that needs it, by one syrk
-    (:meth:`LaplacianState.pinv_power`), and kept by the state.  Each step
+    (:attr:`LaplacianState.pinv`), and kept by the state.  Each step
     scores all p candidates and gives the picked ones an infinite score; a
     closed-form minimum is finite, so the tie rule sees exactly the
     candidates left.
@@ -657,7 +685,7 @@ def linearized(state: LaplacianState, candidates: CandidateSet, k: int,
         t1 = perf_counter()
         pick = order[step:step + 1]
         if carried is None:
-            values.append(float(_score_candidates(m, state, links, pick, values[-1])[0]))
+            values.append(float(_spectral_scores(m, state, *(a[pick] for a in links))[0]))
         else:
             values.append(float(carried.scores(pick)[0]))
         if step + 1 < k:

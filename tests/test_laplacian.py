@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import specgrow as sg
-from util import (graph, k3, kind_suite, path_graph, random_candidates,
-                  random_connected, two_node)
+from util import (graph, grown_powers, k3, kind_suite, path_graph, pinv_power,
+                  random_candidates, random_connected, resistance_matrix, two_node)
 
 
 def bordered_inverse_pinv(L):
@@ -49,7 +49,7 @@ def test_moore_penrose_property():
     for _ in range(10):
         s = sg.build_laplacian(random_connected(rng, int(rng.integers(4, 20))))
         L = np.asarray(s.matrix)
-        P = np.asarray(s.pinv_power(1))
+        P = np.asarray(s.pinv)
         scale = np.linalg.norm(L)
         assert np.linalg.norm(L @ P @ L - L) <= 1e-9 * scale
         assert np.allclose(P @ np.ones(s.n), 0.0, atol=1e-10)
@@ -57,19 +57,25 @@ def test_moore_penrose_property():
 
 
 def test_pinv_matches_bordered_inverse_oracle():
+    """P, and the resistances under P^1..P^3 that the closed forms read off
+    the spectrum, against the bordered inverse and its powers."""
+    from specgrow.synthesis import _spectral_resistances
     rng = np.random.default_rng(23)
     for _ in range(10):
         s = sg.build_laplacian(random_connected(rng, int(rng.integers(3, 25))))
         oracle = bordered_inverse_pinv(np.asarray(s.matrix))
-        assert np.allclose(s.pinv_power(1), oracle, atol=1e-9)
-        assert np.allclose(s.pinv_power(2), oracle @ oracle, atol=1e-9)
-        assert np.allclose(s.pinv_power(3), oracle @ oracle @ oracle, atol=1e-9)
+        assert np.allclose(s.pinv, oracle, atol=1e-9)
+        rows, cols = np.triu_indices(s.n, 1)
+        R = _spectral_resistances(s, rows, cols)
+        for q in (1, 2, 3):
+            expected = resistance_matrix(np.linalg.matrix_power(oracle, q))[rows, cols]
+            assert np.allclose(R[q - 1], expected, atol=1e-9), q
 
 
 def test_pinv_powers_are_exactly_symmetric_products_of_the_spectrum():
-    """Each power is X X^T with X = V lambda^(-m/2): exactly symmetric, and
-    within 1e-13 of V diag(lambda^-m) V^T relative to its largest entry, also
-    on graphs holding a 1e8 link."""
+    """P is X X^T with X = V lambda^(-1/2): exactly symmetric, and within
+    1e-13 of V diag(1/lambda) V^T relative to its largest entry, also on
+    graphs holding a 1e8 link."""
     rng = np.random.default_rng(29)
     graphs = []
     for n in (7, 30, 61):
@@ -79,62 +85,56 @@ def test_pinv_powers_are_exactly_symmetric_products_of_the_spectrum():
     for g in graphs:
         s = sg.build_laplacian(g)
         V, lams = np.asarray(s.eigvecs)[:, 1:], np.asarray(s.nonzero_eigvals)
-        for m in (1, 2, 3):
-            P = np.asarray(s.pinv_power(m))
-            reference = (V * lams ** -float(m)) @ V.T
-            assert np.array_equal(P, P.T), (g.n, m)
-            assert np.max(np.abs(P - reference)) <= 1e-13 * np.max(np.abs(reference)), (g.n, m)
+        P = np.asarray(s.pinv)
+        reference = (V / lams) @ V.T
+        assert np.array_equal(P, P.T), g.n
+        assert np.max(np.abs(P - reference)) <= 1e-13 * np.max(np.abs(reference)), g.n
 
 
 def test_two_node_pinv_powers():
     s = sg.build_laplacian(two_node())
-    assert np.allclose(s.pinv_power(1), [[0.25, -0.25], [-0.25, 0.25]], atol=1e-14)
-    assert np.allclose(s.pinv_power(2), [[0.125, -0.125], [-0.125, 0.125]], atol=1e-14)
-
-
-def test_pinv_power_validation():
-    s = sg.build_laplacian(two_node())
-    with pytest.raises(sg.InvalidParameter):
-        s.pinv_power(4)
-    with pytest.raises(sg.InvalidParameter):
-        s.resistance_matrix(0)
+    assert np.allclose(s.pinv, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-14)
+    assert np.allclose(s.pinv @ s.pinv, [[0.125, -0.125], [-0.125, 0.125]], atol=1e-14)
 
 
 def test_effective_resistances():
+    from specgrow.synthesis import _spectral_resistances
     s2 = sg.build_laplacian(two_node())
-    assert s2.edge_resistance((0, 1)) == pytest.approx(1.0, abs=1e-14)
-    assert s2.edge_resistance((0, 1), m=2) == pytest.approx(0.5, abs=1e-14)
+    r1, r2, r3 = _spectral_resistances(s2, [0], [1])[:, 0]
+    assert (r1, r2, r3) == pytest.approx((1.0, 0.5, 0.25), abs=1e-14)
     s3 = sg.build_laplacian(k3())
-    for e in [(0, 1), (0, 2), (1, 2)]:
+    for i, j in [(0, 1), (0, 2), (1, 2)]:
         # series-parallel oracle: 1 ohm in parallel with 2 ohms
-        assert s3.edge_resistance(e) == pytest.approx(2.0 / 3.0, abs=1e-12)
-    with pytest.raises(sg.SelfLoopEdge):
-        s3.edge_resistance((1, 1))
+        assert _spectral_resistances(s3, [i], [j])[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert resistance_matrix(s3.pinv)[i, j] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_resistance_matrix():
+    """The pair form of P^m against the resistances read off the spectrum."""
+    from specgrow.synthesis import _spectral_resistances
     s2 = sg.build_laplacian(two_node())
-    assert np.allclose(s2.resistance_matrix(1), [[0, 1], [1, 0]], atol=1e-14)
+    assert np.allclose(resistance_matrix(s2.pinv), [[0, 1], [1, 0]], atol=1e-14)
     s3 = sg.build_laplacian(k3())
-    R = s3.resistance_matrix(1)
+    R = resistance_matrix(s3.pinv)
     assert np.allclose(np.diag(R), 0.0)
     assert np.allclose(R[np.triu_indices(3, 1)], 2.0 / 3.0, atol=1e-12)
-    # entries agree with the per-edge accessor
     rng = np.random.default_rng(5)
     s = sg.build_laplacian(random_connected(rng, 12))
+    pairs = [(0, 3), (2, 11), (5, 7)]
+    rows, cols = np.array(pairs).T
+    spectral = _spectral_resistances(s, rows, cols)
     for m in (1, 2, 3):
-        Rm = s.resistance_matrix(m)
+        Rm = resistance_matrix(pinv_power(s, m))
         assert np.all(Rm >= -1e-12)
-        for (i, j) in [(0, 3), (2, 11), (5, 7)]:
-            assert Rm[i, j] == pytest.approx(s.edge_resistance((i, j), m), abs=1e-12)
-            assert s.edge_resistance((j, i), m) == Rm[i, j]  # order does not matter
+        assert np.allclose(spectral[m - 1], Rm[rows, cols], rtol=0.0, atol=1e-12), m
+        assert np.array_equal(spectral[m - 1], _spectral_resistances(s, cols, rows)[m - 1])
 
 
 def test_resistance_triangle_inequality():
     rng = np.random.default_rng(17)
     for _ in range(5):
         s = sg.build_laplacian(random_connected(rng, 10))
-        R = s.resistance_matrix(1)
+        R = resistance_matrix(s.pinv)
         for i in range(10):
             for j in range(10):
                 for k in range(10):
@@ -143,7 +143,7 @@ def test_resistance_triangle_inequality():
 
 def test_rank_one_parallel_edge():
     s = sg.build_laplacian(two_node()).with_edge((0, 1), 1.0)
-    assert np.allclose(s.pinv_power(1), [[0.125, -0.125], [-0.125, 0.125]], atol=1e-12)
+    assert np.allclose(s.pinv, [[0.125, -0.125], [-0.125, 0.125]], atol=1e-12)
     assert s.graph.weight(0, 1) == pytest.approx(2.0)
 
 
@@ -162,38 +162,52 @@ def test_graph_is_read_off_the_laplacian():
 def test_rank_one_zero_weight_limit():
     s = sg.build_laplacian(k3())
     s_eps = s.with_edge((0, 1), 1e-12)
-    assert np.allclose(s_eps.pinv_power(1), s.pinv_power(1), atol=1e-11)
-    with pytest.raises(sg.InvalidParameter):
-        s.with_edge((0, 1), 0.0)
-    with pytest.raises(sg.InvalidParameter):
-        s.with_edge((0, 1), -1.0)
-    for top in (0, 4):
+    assert np.allclose(s_eps.pinv, s.pinv, atol=1e-11)
+    for w in (0.0, -1.0, float("nan"), float("inf")):  # inf would put inf in L
         with pytest.raises(sg.InvalidParameter):
-            s.with_edge((0, 1), 1.0, top)
+            s.with_edge((0, 1), w)
+
+
+def test_with_edge_rejects_links_outside_the_graph():
+    """Node ids outside [0, n) raise GraphFormatError, as read_links does:
+    -1 is not wrapped to the last node."""
+    s = sg.build_laplacian(path_graph(3))
+    for edge in [(0, 7), (-1, 2), (3, 0), (0, -3)]:
+        with pytest.raises(sg.GraphFormatError, match=r"outside node range \[0, 3\)"):
+            s.with_edge(edge, 1.0)
+    with pytest.raises(sg.SelfLoopEdge):
+        s.with_edge((1, 1), 1.0)
+    with pytest.raises(sg.GraphFormatError):
+        s.with_edge((0, 1.0), 1.0)
 
 
 def test_rank_one_chain_matches_rebuild():
+    """Ten rank-one updates of a state's P, and of the P^1..P^3 that the
+    tests' reference downdate carries, against a fresh build."""
     rng = np.random.default_rng(31)
     for trial in range(6):
         n = int(rng.integers(10, 51))
         cur = sg.build_laplacian(random_connected(rng, n))
+        powers = {m: pinv_power(cur, m) for m in (1, 2, 3)}
         for _ in range(10):
             i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
-            # top=3 carries all three powers; with fewer, the grown state would
-            # compute the rest from a fresh eigh and the test would check nothing
-            cur = cur.with_edge((i, j), float(rng.uniform(0.1, 5.0)), top=3)
+            w = float(rng.uniform(0.1, 5.0))
+            cur = cur.with_edge((i, j), w)
+            powers = grown_powers(powers, (i, j), w)
+        assert np.array_equal(cur.pinv, powers[1]), trial
         ref = sg.build_laplacian(cur.graph)
-        scale = np.linalg.norm(ref.pinv_power(1))
+        scale = np.linalg.norm(ref.pinv)
         for m in (1, 2, 3):
-            err = np.abs(np.asarray(cur.pinv_power(m)) - np.asarray(ref.pinv_power(m))).max()
+            expected = pinv_power(ref, m)
+            err = np.abs(powers[m] - expected).max()
             assert err <= 1e-9 * max(scale, 1.0), (trial, m, err)
-            r_err = np.abs(cur.resistance_matrix(m) - ref.resistance_matrix(m)).max()
+            r_err = np.abs(resistance_matrix(powers[m]) - resistance_matrix(expected)).max()
             assert r_err <= 1e-8 * max(scale, 1.0)
         assert np.allclose(cur.matrix, ref.matrix, atol=1e-12)
 
 
 def test_powers_are_computed_on_first_read_and_carried(monkeypatch):
-    """Counts eigendecompositions and the n x n products that form a power from them."""
+    """Counts eigendecompositions and the n x n products that form P from them."""
     counts = {"eigh": 0, "products": 0}
     n = 30
 
@@ -213,9 +227,9 @@ def test_powers_are_computed_on_first_read_and_carried(monkeypatch):
     held = []
     with_edge = sg.LaplacianState.with_edge
 
-    def recording(self, edge, weight, top=1):
-        out = with_edge(self, edge, weight, top)
-        held.append(sorted(out._pinv))
+    def recording(self, edge, weight):
+        out = with_edge(self, edge, weight)
+        held.append(out._pinv is not None)
         return out
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
@@ -237,14 +251,15 @@ def test_powers_are_computed_on_first_read_and_carried(monkeypatch):
         assert counts == {"eigh": 1, "products": products}, spec
         assert held == [], spec
 
+    # the root's P is formed once, then carried without a product or an eigh
     counts.update(eigh=0, products=0)
     cur = sg.build_laplacian(g)
+    assert cur._pinv is None
     for (i, j), w in cands.links[:5]:
-        cur = cur.with_edge((i, j), w, top=3)
-    for m in (1, 2, 3):
-        cur.pinv_power(m)
-    assert counts == {"eigh": 1, "products": 3}
-    assert held[-1] == [1, 2, 3]
+        cur = cur.with_edge((i, j), w)
+    cur.pinv
+    assert counts == {"eigh": 1, "products": 1}
+    assert held == [True] * 5
 
 
 def test_rank_one_lazy_spectrum_consistency():
@@ -267,7 +282,9 @@ def test_spectrum_monotone_under_edge_addition():
 def test_states_share_no_mutable_storage():
     s = sg.build_laplacian(k3())
     s2 = s.with_edge((0, 1), 1.0)
-    assert not np.shares_memory(s.pinv_power(1), s2.pinv_power(1))
+    assert not np.shares_memory(s.pinv, s2.pinv)
+    with pytest.raises(ValueError):
+        np.asarray(s2.pinv)[0, 0] = 99.0
     with pytest.raises(ValueError):
         np.asarray(s.matrix)[0, 0] = 99.0
 

@@ -98,6 +98,18 @@ def test_max_single_link_gain():
     assert sg.max_single_link_gain(s2, (0, 1), sg.parse_measure("mq:q=0.5")) == math.inf
 
 
+def test_max_single_link_gain_rejects_links_outside_the_graph():
+    """Node ids outside [0, n) raise GraphFormatError: -1 is not wrapped to
+    the last node, where (-1, 2) would be a self-loop."""
+    s = sg.build_laplacian(path_graph(3))
+    z1 = sg.parse_measure("zeta:q=1")
+    for edge in [(0, 7), (-1, 2), (3, 0)]:
+        with pytest.raises(sg.GraphFormatError, match=r"outside node range \[0, 3\)"):
+            sg.max_single_link_gain(s, edge, z1)
+    with pytest.raises(sg.SelfLoopEdge):
+        sg.max_single_link_gain(s, (1, 1), z1)
+
+
 def test_gain_ceiling_dominates_all_finite_weights():
     rng = np.random.default_rng(173)
     z1 = sg.parse_measure("zeta:q=1")

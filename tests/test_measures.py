@@ -5,7 +5,7 @@ import pytest
 
 import specgrow as sg
 from util import (differentiable_suite, full_recompute_value, k3, kind_suite,
-                  random_connected, two_node)
+                  random_connected, resistance, two_node)
 
 
 def gamma_entropy_quadrature(lams, g, npts=3000):
@@ -300,13 +300,21 @@ def test_gradient_matches_central_differences():
             assert dd <= 1e-12  # adding coupling never increases a measure
 
 
+def test_directional_derivative_rejects_links_outside_the_graph():
+    s = sg.build_laplacian(k3())
+    m = sg.parse_measure("zeta:q=1")
+    for edge in [(0, 3), (-1, 2)]:
+        with pytest.raises(sg.GraphFormatError, match=r"outside node range \[0, 3\)"):
+            sg.directional_derivative(m, s, edge, 1.0)
+
+
 def test_zeta1_gradient_edge_form_is_resistance():
     rng = np.random.default_rng(41)
     s = sg.build_laplacian(random_connected(rng, 9))
     G = sg.gradient(sg.parse_measure("zeta:q=1"), s)
     for (i, j) in [(0, 4), (1, 7), (2, 3)]:
         quad = -(G[i, i] + G[j, j] - 2 * G[i, j])
-        assert quad == pytest.approx(s.edge_resistance((i, j), m=2), rel=1e-10)
+        assert quad == pytest.approx(resistance(s, (i, j), 2), rel=1e-10)
 
 
 def test_volume_gradient_is_negative_bordered_inverse():

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import specgrow as sg
-from util import (full_recompute_value, graph, k4, kind_suite, laplacian_of, path_graph,
-                  random_candidates, random_connected, ring_graph, two_node)
+from util import (full_recompute_value, graph, grown_powers, k4, kind_suite, laplacian_of,
+                  path_graph, pinv_power, random_candidates, random_connected, resistance,
+                  resistance_matrix, ring_graph, two_node)
 
 
 def enumerate_best(state, candidates, k, m):
@@ -117,6 +118,42 @@ def test_closed_form_delta_unsupported():
             sg.closed_form_delta(sg.parse_measure(spec), s, (0, 1), 1.0)
 
 
+def test_closed_form_delta_rejects_bad_links_and_weights():
+    """Node ids outside [0, n) raise GraphFormatError (-1 is not wrapped to
+    the last node); a weight that is not > 0 raises InvalidParameter, and
+    inf, the infinite-coupling limit, is allowed."""
+    s = sg.build_laplacian(path_graph(3))
+    for spec in ("zeta:q=1", "zeta:q=2", "volume", "mq:q=1"):
+        m = sg.parse_measure(spec)
+        for edge in [(0, 7), (-1, 2), (3, 0)]:
+            with pytest.raises(sg.GraphFormatError, match=r"outside node range \[0, 3\)"):
+                sg.closed_form_delta(m, s, edge, 1.0)
+        with pytest.raises(sg.SelfLoopEdge):
+            sg.closed_form_delta(m, s, (2, 2), 1.0)
+        for w in (-1.0, 0.0, -0.0, float("nan"), -math.inf):
+            with pytest.raises(sg.InvalidParameter):
+                sg.closed_form_delta(m, s, (0, 2), w)
+        assert sg.closed_form_delta(m, s, (0, 2), math.inf) > 0.0, spec
+
+
+def test_closed_form_delta_and_greedy_share_one_formula():
+    """closed_form_delta equals the drop greedy scores from the candidate
+    set's root resistances, for every candidate, within 1e-14 relative."""
+    from specgrow.synthesis import _CLOSED_FORMS, _drop
+    rng = np.random.default_rng(197)
+    for scale in (1e-8, 1.0, 1e8):
+        n = int(rng.integers(5, 40))
+        s = sg.build_laplacian(random_connected(rng, n))
+        c = sg.CandidateSet.from_triples(
+            [(i, j, scale * w) for (i, j), w in random_candidates(rng, n, 30).links])
+        for spec in ("zeta:q=1", "zeta:q=2", "volume"):
+            m = sg.parse_measure(spec)
+            drops = _drop(_CLOSED_FORMS[m], c.arrays[2], c._root_resistances(s))
+            deltas = [sg.closed_form_delta(m, s, e, w) for e, w in c.links]
+            np.testing.assert_allclose(deltas, drops, rtol=1e-14, atol=0.0,
+                                       err_msg=f"{spec} x{scale}")
+
+
 def test_two_node_single_candidate_value():
     # zeta:q=1 drops from 1/2 to 1/4 when doubling the only edge
     s = sg.build_laplacian(two_node())
@@ -208,11 +245,11 @@ def test_greedy_selection_rules_zeta1_and_volume():
     g = random_connected(rng, 12)
     s = sg.build_laplacian(g)
     c = random_candidates(rng, 12, 9)
-    scores_z1 = {e: s.edge_resistance(e, 2) / (1.0 / w + s.edge_resistance(e, 1))
+    scores_z1 = {e: resistance(s, e, 2) / (1.0 / w + resistance(s, e, 1))
                  for e, w in c.links}
     res = sg.greedy(s, c, 1, sg.parse_measure("zeta:q=1"))
     assert res.chosen[0][0] == max(sorted(scores_z1), key=lambda e: scores_z1[e])
-    scores_v = {e: math.log1p(s.edge_resistance(e) * w) for e, w in c.links}
+    scores_v = {e: math.log1p(resistance(s, e) * w) for e, w in c.links}
     res = sg.greedy(s, c, 1, sg.parse_measure("volume"))
     assert res.chosen[0][0] == max(sorted(scores_v), key=lambda e: scores_v[e])
 
@@ -289,22 +326,36 @@ def test_greedy_mq1_lowers_by_twice_each_weight():
 
 
 def full_scan_greedy(state, candidates, k, m):
-    """Reference greedy: every remaining candidate scored exactly at every step,
-    on a state grown by with_edge."""
-    from specgrow.synthesis import _CLOSED_FORMS, _argmin_lex, _link_arrays, _score_candidates
+    """Reference greedy: every remaining candidate scored exactly at every step.
+
+    The spectral measures score on a state grown by with_edge; the closed
+    forms apply their drop to resistances read off P^1..P^3, which
+    grown_powers carries across picks."""
+    from specgrow.laplacian import pair_form
+    from specgrow.synthesis import (_CLOSED_FORMS, _argmin_lex, _drop, _link_arrays,
+                                    _spectral_scores)
     form = _CLOSED_FORMS.get(m)
-    top = 1 if form is None else max(form.top, 1)  # the powers the scores read
+    powers = {q: pinv_power(state, q) for q in (1, 2, 3)} if form is not None else None
     links = _link_arrays(candidates.links)
     remaining = np.arange(candidates.p)
     chosen, values, tie_breaks = [], [sg.evaluate(m, state)], 0
     for step in range(k):
-        scores = _score_candidates(m, state, links, remaining, values[-1])
+        rows, cols, ws = (a[remaining] for a in links)
+        if form is None:
+            scores = _spectral_scores(m, state, rows, cols, ws)
+        else:
+            stat = values[-1] if form.power is None else float(np.trace(powers[form.power]))
+            R = [pair_form(P, rows, cols) for P in powers.values()]
+            scores = form.transform(stat - _drop(form, ws, R))
         pick, ties = _argmin_lex(scores)
         tie_breaks += ties
         chosen.append(candidates.links[remaining[pick]])
         remaining = np.delete(remaining, pick)
         if step + 1 < k:
-            state = state.with_edge(*chosen[-1], top)
+            if form is None:
+                state = state.with_edge(*chosen[-1])
+            else:
+                powers = grown_powers(powers, *chosen[-1])
         values.append(float(scores[pick]))
     return tuple(chosen), tuple(values), tie_breaks
 
@@ -497,7 +548,7 @@ def test_stacked_spectral_scores_equal_single_link_calls_bit_for_bit(monkeypatch
     from specgrow import synthesis
 
     def one_link(m, state, i, j, w):
-        P = np.asarray(state.pinv_power(1))
+        P = np.asarray(state.pinv)
         u = P[:, i] - P[:, j]
         c = 1.0 / (1.0 / w + (u[i] - u[j]))
         mus = np.maximum(np.linalg.eigvalsh(P - c * np.outer(u, u))[1:], 0.0)
@@ -595,7 +646,7 @@ def test_brute_force_equals_the_per_subset_loop_bit_for_bit(monkeypatch):
 
 
 def test_pinched_bounds_lie_below_the_scores_and_tighten_with_the_block():
-    from specgrow.synthesis import SLACK, _link_arrays, _pinched_bounds, _score_candidates
+    from specgrow.synthesis import SLACK, _link_arrays, _pinched_bounds, _spectral_scores
     rng = np.random.default_rng(173)
     for scale in (1.0, 1e8):
         s = sg.build_laplacian(random_connected(rng, 40))
@@ -603,7 +654,7 @@ def test_pinched_bounds_lie_below_the_scores_and_tighten_with_the_block():
         links = _link_arrays([(e, scale * w) for e, w in c.links])
         idx = np.arange(c.p)
         for m in pruning_suite(s):
-            scores = _score_candidates(m, s, links, idx, math.inf)
+            scores = _spectral_scores(m, s, *links)
             # at 1e8 the scores of mq round off by ~3e-8 relative; greedy allows SLACK
             slack = SLACK * np.maximum(1.0, np.abs(scores))
             previous = -np.inf
@@ -663,7 +714,7 @@ def test_linearized_score_is_weighted_squared_resistance_for_zeta1():
     c = random_candidates(rng, 10, 8)
     m = sg.parse_measure("zeta:q=1")
     res = sg.linearized(s, c, 3, m)
-    scores = {e: w * s.edge_resistance(e, 2) for e, w in c.links}
+    scores = {e: w * resistance(s, e, 2) for e, w in c.links}
     expected = sorted(scores, key=lambda e: (-scores[e], e))[:3]
     assert [e for e, _ in res.chosen] == expected
 
@@ -732,9 +783,9 @@ def test_solvers_update_the_state_only_between_picks(monkeypatch):
     calls = []
     with_edge = sg.LaplacianState.with_edge
 
-    def counting(self, edge, weight, top=1):
+    def counting(self, edge, weight):
         calls.append(edge)
-        return with_edge(self, edge, weight, top)
+        return with_edge(self, edge, weight)
 
     monkeypatch.setattr(sg.LaplacianState, "with_edge", counting)
     s = sg.build_laplacian(path_graph(6))
@@ -748,26 +799,26 @@ def test_solvers_update_the_state_only_between_picks(monkeypatch):
 
 
 def test_greedy_does_not_depend_on_powers_read_earlier(monkeypatch):
-    """A root holding P1-P3 gives the same runs as a fresh one, and its grown
-    states carry only P1, the one power the spectral scores read."""
+    """A root whose P an earlier solve formed gives the same runs as a fresh
+    one, and its grown states carry P, the one matrix the spectral scores read."""
     held = []
     with_edge = sg.LaplacianState.with_edge
 
     def recording(self, *args):
         out = with_edge(self, *args)
-        held.append(sorted(out._pinv))
+        held.append(out._pinv is not None)
         return out
 
     rng = np.random.default_rng(97)
     g = random_connected(rng, 40)
     cands = random_candidates(rng, 40, 60)
     shared = sg.build_laplacian(g)
-    for spec in ("zeta:q=2", "mq:q=1"):  # the closed-form solvers form no P^2 or P^3
-        for solver in (sg.greedy, sg.linearized):
-            solver(shared, cands, 8, sg.parse_measure(spec))
-            assert sorted(shared._pinv) == [1], (solver.__name__, spec)
-    shared.pinv_power(2)
-    shared.pinv_power(3)
+    for solver in (sg.greedy, sg.linearized):  # mq:q=1 reads no resistance
+        solver(shared, cands, 8, sg.parse_measure("mq:q=1"))
+        assert shared._pinv is None, solver.__name__
+    for solver in (sg.greedy, sg.linearized):  # the first carried pick forms P
+        solver(shared, cands, 8, sg.parse_measure("zeta:q=2"))
+        assert shared._pinv is not None, solver.__name__
     monkeypatch.setattr(sg.LaplacianState, "with_edge", recording)
     # the closed-form solvers grow no state
     for spec, grown in (("volume", 0), ("zeta:q=1", 0), ("zeta:q=2", 0), ("tau:t=1", 7)):
@@ -775,7 +826,7 @@ def test_greedy_does_not_depend_on_powers_read_earlier(monkeypatch):
         for solver in (sg.greedy, sg.linearized):
             held.clear()
             after = solver(shared, cands, 8, m)
-            assert held == [[1]] * grown, (solver.__name__, spec)
+            assert held == [True] * grown, (solver.__name__, spec)
             fresh = solver(sg.build_laplacian(g), cands, 8, m)
             assert after.chosen == fresh.chosen, (solver.__name__, spec)
             assert after.values == fresh.values, (solver.__name__, spec)
@@ -858,7 +909,7 @@ def test_optimal_single_link_location_tracks_weight():
     g = random_connected(rng, 50, extra=100 - 49, wlo=1.0, whi=1.0)
     s = sg.build_laplacian(g)
     m = sg.parse_measure("zeta:q=1")
-    R1, R2 = s.resistance_matrix(1), s.resistance_matrix(2)
+    R1, R2 = (resistance_matrix(pinv_power(s, m)) for m in (1, 2))
     iu = np.triu_indices(50, 1)
 
     def argmax_pairs(score):

@@ -101,3 +101,43 @@ def kind_suite(state):
 
 def differentiable_suite(state):
     return [m for m in kind_suite(state) if m.differentiable]
+
+
+def pinv_power(state, m):
+    """P^m of a state, X X^T with X = V lambda^(-m/2) from its spectrum."""
+    X = np.asarray(state.eigvecs)[:, 1:] * np.asarray(state.nonzero_eigvals) ** (-m / 2.0)
+    return X @ X.T
+
+
+def resistance_matrix(M):
+    """Pairwise (e_i - e_j)^T M (e_i - e_j): effective resistances when M is P^m."""
+    d = np.diag(M)
+    return d[:, None] + d[None, :] - 2.0 * M
+
+
+def resistance(state, edge, m=1):
+    """Effective resistance of one link under L^m."""
+    i, j = edge
+    M = pinv_power(state, m)
+    return float(M[i, i] + M[j, j] - 2.0 * M[i, j])
+
+
+def grown_powers(powers, edge, w):
+    """Reference downdate of the pseudo-inverse powers {1: P, 2: P^2, 3: P^3}
+    for adding the link `edge` at weight w: (P - c u u^T)^m expanded by the
+    number of c u u^T factors, with u = P(e_i - e_j), c = (1/w + r_e)^-1,
+    v = P u, x = P v, h0 = u.u and h1 = u.v."""
+    P = powers[1]
+    i, j = edge
+    u = P[:, i] - P[:, j]
+    c = 1.0 / (1.0 / w + (P[i, i] + P[j, j] - 2.0 * P[i, j]))
+    v, uu = P @ u, np.multiply.outer(u, u)
+    x, uv = P @ v, np.multiply.outer(u, v)
+    h0, h1 = float(u @ u), float(u @ v)
+    return {
+        1: P - np.multiply.outer(u * c, u),
+        2: powers[2] - c * (uv + uv.T) + c * c * h0 * uu,
+        3: (powers[3] - c * (np.multiply.outer(u, x) + np.multiply.outer(x, u)
+                             + np.multiply.outer(v, v))
+            + c * c * (h0 * (uv + uv.T) + h1 * uu) - c ** 3 * h0 * h0 * uu),
+    }
