@@ -8,9 +8,8 @@ from .errors import (AxiomViolation, CombinatorialBlowup, GraphFormatError,
                      UnsupportedMeasure)
 from .graphs import WeightedGraph, canonical_edge, load_graph, meet, parse_graph, union
 from .laplacian import LaplacianState, build_laplacian
-from .limits import (BoundsReport, bounds_report, enhancement_table, limit_value,
-                     lower_bound, max_single_link_gain, min_links_for_target,
-                     star_tree_sweep, upper_bound_complete)
+from .limits import (enhancement_table, limit_value, lower_bound, max_single_link_gain,
+                     min_links_for_target, star_tree_sweep, upper_bound_complete)
 from .measures import (MeasureSpec, check_axioms, companion_value,
                        directional_derivative, evaluate, gradient,
                        hardy_schatten_alpha0, parse_measure, phi_prime,
@@ -23,12 +22,12 @@ from .synthesis import (CandidateSet, SynthesisResult, brute_force,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxiomViolation", "BoundsReport", "CandidateSet", "CombinatorialBlowup",
+    "AxiomViolation", "CandidateSet", "CombinatorialBlowup",
     "GraphFormatError", "IllConditioned", "InvalidParameter", "LaplacianState", "MeasureSpec",
     "MeasureSpecError", "NodeCountMismatch", "NonDifferentiableMeasure",
     "NotConnected", "SelfLoopEdge", "SimConfig", "SpecgrowError",
     "SynthesisResult", "UnstableStepSize", "UnsupportedMeasure",
-    "ValidationReport", "WeightedGraph", "bounds_report", "brute_force",
+    "ValidationReport", "WeightedGraph", "brute_force",
     "build_laplacian", "canonical_edge", "check_axioms", "closed_form_delta",
     "companion_value", "directional_derivative", "enhancement_table",
     "evaluate", "gradient", "greedy", "hardy_schatten_alpha0", "limit_value",

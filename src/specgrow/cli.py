@@ -26,7 +26,7 @@ from .graphs import load_graph
 from .laplacian import build_laplacian
 from .limits import enhancement_table, limit_value
 from .measures import evaluate, parse_measure
-from .montecarlo import SimConfig, stable_step_bound, stationary_time, validate_measure
+from .montecarlo import SimConfig, stable_step_bound, validate_measure
 from .synthesis import CandidateSet, brute_force, greedy, linearized
 
 EXIT_OK = 0
@@ -140,9 +140,7 @@ def cmd_validate(args) -> int:
     m = parse_measure(args.measure)
     state = _load_state(args.graph)
     dt = args.dt if args.dt is not None else 0.2 * stable_step_bound(state)
-    needed_t = float(m.param) if m.kind == "tau" else stationary_time(state)
-    t_final = args.t_final if args.t_final is not None else needed_t
-    cfg = SimConfig(dt=dt, t_final=t_final, trials=args.trials, seed=args.seed)
+    cfg = SimConfig(dt=dt, trials=args.trials, seed=args.seed)
     report = validate_measure(state, m, cfg)
 
     payload = report.to_json_obj()
@@ -195,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--dt", type=float, default=None,
                    help="step size (default: a fifth of the stability bound)")
-    p.add_argument("--t-final", dest="t_final", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write a JSON run record here")
     p.set_defaults(func=cmd_validate)

@@ -141,11 +141,8 @@ class WeightedGraph:
             add_link(L, i, j, w)
         return L
 
-    def sorted_edges(self) -> list[tuple[Edge, float]]:
-        return sorted(self.edges.items())
-
     def to_json_obj(self) -> dict:
-        return {"n": self.n, "edges": [[i, j, w] for (i, j), w in self.sorted_edges()]}
+        return {"n": self.n, "edges": [[i, j, w] for (i, j), w in sorted(self.edges.items())]}
 
 
 def union(g1: WeightedGraph, g2: WeightedGraph) -> WeightedGraph:
@@ -201,7 +198,3 @@ def parse_graph(text: str) -> WeightedGraph:
 def load_graph(path) -> WeightedGraph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_graph(fh.read())
-
-
-def dump_graph_json(g: WeightedGraph) -> str:
-    return json.dumps(g.to_json_obj())

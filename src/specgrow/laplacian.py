@@ -44,12 +44,10 @@ class LaplacianState:
     idempotent caches).
     """
 
-    def __init__(self, matrix: np.ndarray, pinv: np.ndarray | None = None,
-                 eigvals=None, eigvecs=None):
+    def __init__(self, matrix: np.ndarray, pinv: np.ndarray | None = None):
         self.matrix = _freeze(matrix)
         self._pinv = None if pinv is None else _freeze(pinv)
-        self._eigvals = eigvals
-        self._eigvecs = eigvecs
+        self._eigvals = self._eigvecs = None
 
     # --- basic shape ---------------------------------------------------
 
@@ -90,11 +88,6 @@ class LaplacianState:
     def nonzero_eigvals(self) -> np.ndarray:
         """The n-1 strictly positive eigenvalues, ascending."""
         return self.eigvals[1:]
-
-    @property
-    def inverse_spectrum(self) -> np.ndarray:
-        """Nonzero eigenvalues of the pseudo-inverse, ascending."""
-        return 1.0 / self.nonzero_eigvals[::-1]
 
     # --- pseudo-inverse --------------------------------------------------
 
@@ -184,11 +177,10 @@ def build_laplacian(graph: WeightedGraph) -> LaplacianState:
     """
     if len(graph.edges) < graph.n - 1 or not _connected(graph):
         raise NotConnected(f"{len(graph.edges)} links leave the {graph.n} nodes disconnected")
-    L = graph.laplacian()
-    vals, vecs = np.linalg.eigh(L)
+    state = LaplacianState(graph.laplacian())
+    vals = state.eigvals
     tol = connectivity_tolerance(vals)
     if vals[1] <= tol:
         raise IllConditioned(f"connected, but algebraic connectivity {vals[1]:.3e} "
                              f"is below the zero tolerance {tol:.3e}")
-    vals[0] = 0.0
-    return LaplacianState(L, eigvals=_freeze(vals), eigvecs=_freeze(vecs))
+    return state

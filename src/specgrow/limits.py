@@ -10,7 +10,6 @@ the original network, so they can be tabulated before running any solver.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,38 +65,16 @@ def max_single_link_gain(state: LaplacianState, edge: Edge, m: MeasureSpec) -> f
     return float(gain)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    """Lower/upper bounds for one k, with the enhancement percentage."""
-
-    k: int
-    lower: float
-    upper: float | None
-    pi_percent: float | None
-    limit: float
-
-    def to_json_obj(self) -> dict:
-        return asdict(self)
-
-
-def bounds_report(state: LaplacianState, m: MeasureSpec, k: int,
-                  assume_complete: bool = False) -> BoundsReport:
-    low = lower_bound(state, m, k)
-    up = upper_bound_complete(state, m, k) if assume_complete else None
-    rho0 = evaluate(m, state)
-    pi = None
-    if math.isfinite(rho0) and rho0 > 0.0 and math.isfinite(low):
-        pi = (rho0 - low) / rho0 * 100.0
-    return BoundsReport(k, low, up, pi, limit_value(m, state.n))
-
-
 def enhancement_table(state: LaplacianState, m: MeasureSpec,
                       k_max: int) -> list[tuple[int, float, float]]:
     """Rows (k, bound_k, percent enhancement) for k = 0..k_max.
 
     Defined only for measures whose starting value is finite and positive;
-    the volume and mq measures (bound -inf) are rejected.
+    the volume and mq measures (bound -inf) are rejected.  A k_max outside
+    [0, n - 1] raises InvalidParameter: past n - 1 every row is the limit.
     """
+    if not 0 <= k_max <= state.n - 1:
+        raise InvalidParameter(f"k_max must lie in [0, {state.n - 1}], got {k_max}")
     if m.supermodular:
         raise UnsupportedMeasure(f"enhancement percentage undefined for {m.label}")
     rho0 = evaluate(m, state)
@@ -123,13 +100,12 @@ def min_links_for_target(state: LaplacianState, m: MeasureSpec,
         f"target {target_percent}% exceeds the k = n-1 ceiling of {table[-1][2]:.4f}%")
 
 
-def star_tree_sweep(state: LaplacianState, m: MeasureSpec,
-                    scales=(1e1, 1e2, 1e3, 1e4), center: int = 0) -> list[float]:
-    """Measure values of L + kappa * L_star for each kappa, by full recompute."""
+def star_tree_sweep(state: LaplacianState, m: MeasureSpec) -> list[float]:
+    """Measure values of L + kappa L_star, star on node 0, for kappa = 1e1, 1e2, 1e3, 1e4."""
     n = state.n
-    T = WeightedGraph(n, {(center, v): 1.0 for v in range(n) if v != center}).laplacian()
+    T = WeightedGraph(n, {(0, v): 1.0 for v in range(1, n)}).laplacian()
     out = []
-    for kappa in scales:
+    for kappa in (1e1, 1e2, 1e3, 1e4):
         vals = np.linalg.eigvalsh(np.asarray(state.matrix) + float(kappa) * T)
         out.append(spectral_value(m, vals[1:], n))
     return out

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ DISCONNECTED_JSON = json.dumps({"n": 4, "edges": [[0, 1, 1.0], [2, 3, 1.0]]})
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "specgrow.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture
@@ -216,6 +217,34 @@ def test_limits_csv(tmp_path):
 def test_limits_rejects_volume(tmp_path, k3_file):
     out = run_cli("limits", k3_file, "--measure", "volume")
     assert out.returncode == 4
+
+
+def assert_refused_at_once(*args):
+    """The call exits 4 with one error line and no traceback, in well under
+    the time a runaway loop or allocation would take."""
+    t0 = time.perf_counter()
+    out = run_cli(*args)
+    elapsed = time.perf_counter() - t0
+    assert out.returncode == 4, out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+    assert "Traceback" not in out.stderr and out.stdout == ""
+    assert elapsed < 10.0, elapsed
+
+
+def test_limits_k_max_outside_zero_to_n_minus_1_exits_4(tmp_path):
+    graph_path = tmp_path / "path4.json"
+    graph_path.write_text(json.dumps({"n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0]]}))
+    for k_max in ("-1", "-3", "4", "1000000000"):
+        assert_refused_at_once("limits", str(graph_path), "--measure", "zeta:q=1",
+                               "--k-max", k_max)
+
+
+def test_validate_trials_above_the_ensemble_cap_exits_4(k3_file):
+    assert_refused_at_once("validate", k3_file, "--trials", "100000000000")
+
+
+def test_validate_has_no_horizon_option(k3_file):
+    assert run_cli("validate", k3_file, "--t-final", "5").returncode == 2
 
 
 def test_validate_deterministic(tmp_path, k3_file):

@@ -288,10 +288,3 @@ def test_states_share_no_mutable_storage():
     with pytest.raises(ValueError):
         np.asarray(s.matrix)[0, 0] = 99.0
 
-
-def test_inverse_spectrum():
-    s = sg.build_laplacian(k3())
-    assert np.allclose(s.inverse_spectrum, [1 / 3, 1 / 3], atol=1e-13)
-    rng = np.random.default_rng(3)
-    s = sg.build_laplacian(random_connected(rng, 9))
-    assert np.allclose(sorted(s.inverse_spectrum), s.inverse_spectrum)

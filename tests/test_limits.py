@@ -12,6 +12,8 @@ def test_lower_bound_k4_zeta1():
     s = sg.build_laplacian(k4())
     # two surviving eigenvalues of 4: 1/4 + 1/4
     assert sg.lower_bound(s, sg.parse_measure("zeta:q=1"), 1) == pytest.approx(0.5, abs=1e-12)
+    assert sg.lower_bound(s, sg.parse_measure("volume"), 1) == -math.inf
+    assert sg.limit_value(sg.parse_measure("zeta:q=1"), s.n) == 0.0
 
 
 def test_lower_bound_tau_k3():
@@ -147,6 +149,17 @@ def test_enhancement_table_k4():
     assert rows[3][2] == pytest.approx(100.0, abs=1e-12)
     pis = [pi for _, _, pi in rows]
     assert pis == sorted(pis)
+    assert sg.enhancement_table(s, sg.parse_measure("zeta:q=1"), 0) == [rows[0]]
+
+
+def test_enhancement_table_refuses_k_max_outside_zero_to_n_minus_1():
+    """Past k = n - 1 every row would repeat the limit value, so a huge
+    k_max is refused before the loop, as is a negative one."""
+    s = sg.build_laplacian(path_graph(4))
+    m = sg.parse_measure("zeta:q=1")
+    for k_max in (-1, -3, 4, 2_000_000, 10**12):
+        with pytest.raises(sg.InvalidParameter, match=r"k_max must lie in \[0, 3\]"):
+            sg.enhancement_table(s, m, k_max)
 
 
 def test_full_enhancement_for_vanishing_measures():
@@ -193,21 +206,10 @@ def test_spanning_tree_limit_values():
 def test_star_tree_sweep_converges():
     s = sg.build_laplacian(path_graph(4))
     m = sg.parse_measure("zeta:q=1")
-    values = sg.star_tree_sweep(s, m, scales=(1e1, 1e2, 1e3, 1e4))
+    values = sg.star_tree_sweep(s, m)
+    assert len(values) == 4
     assert all(b < a for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-3
     limit = sg.limit_value(m, s.n)
     assert abs(values[-1] - limit) < 1e-3
 
-
-def test_bounds_report_fields():
-    s = sg.build_laplacian(k4())
-    rep = sg.bounds_report(s, sg.parse_measure("zeta:q=1"), 1, assume_complete=True)
-    assert rep.k == 1
-    assert rep.lower == pytest.approx(0.5, abs=1e-12)
-    assert rep.upper == pytest.approx(0.5, abs=1e-12)
-    assert rep.pi_percent == pytest.approx(100.0 / 3.0, abs=1e-9)
-    assert rep.limit == 0.0
-    rep_v = sg.bounds_report(s, sg.parse_measure("volume"), 1)
-    assert rep_v.pi_percent is None and rep_v.upper is None
-    assert rep_v.lower == -math.inf
