@@ -43,17 +43,14 @@ def _fmt(value: float) -> str:
     return f"{value:.12f}"
 
 
-def _sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _run_record(inputs: dict[str, str], payload: dict) -> dict:
     return {
         "tool": "specgrow",
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "command": sys.argv,
-        "inputs": {name: {"path": p, "sha256": _sha256(p)} for name, p in inputs.items()},
+        "inputs": {name: {"path": p, "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()}
+                   for name, p in inputs.items()},
         **payload,
     }
 
@@ -64,10 +61,6 @@ def _write_json(path: str, obj: dict) -> None:
 
 def _load_state(path: str):
     return build_laplacian(load_graph(path))
-
-
-def _load_candidates(path: str) -> CandidateSet:
-    return CandidateSet.parse(Path(path).read_text(encoding="utf-8"))
 
 
 # --- subcommands --------------------------------------------------------------
@@ -83,7 +76,7 @@ def cmd_measure(args) -> int:
 def cmd_grow(args) -> int:
     m = parse_measure(args.measure)
     state = _load_state(args.graph)
-    candidates = _load_candidates(args.candidates)
+    candidates = CandidateSet.parse(Path(args.candidates).read_text(encoding="utf-8"))
     if args.algo == "brute":
         result = brute_force(state, candidates, args.k, m, cap=args.cap)
     elif args.algo == "greedy":

@@ -46,7 +46,7 @@ class CombinatorialBlowup(SpecgrowError):
     """Exhaustive search would exceed the configured subset cap."""
 
 
-class UnstableStepSize(SpecgrowError):
+class UnstableStepSize(InvalidParameter):
     """Simulation step size violates the explicit-scheme stability bound."""
 
 

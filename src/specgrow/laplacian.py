@@ -141,12 +141,6 @@ def downdated_inverse_spectra(state: LaplacianState, rows, cols, ws) -> np.ndarr
     return np.maximum(mus[:, 1:], 0.0)
 
 
-def connectivity_tolerance(eigvals: np.ndarray) -> float:
-    """Scale-aware zero threshold: n * machine epsilon * largest eigenvalue."""
-    n = eigvals.shape[0]
-    return n * np.finfo(float).eps * float(eigvals[-1])
-
-
 def _connected(graph: WeightedGraph) -> bool:
     """Whether the links join all nodes: union-find, O(n + E), no n x n array."""
     parent = list(range(graph.n))
@@ -179,7 +173,7 @@ def build_laplacian(graph: WeightedGraph) -> LaplacianState:
         raise NotConnected(f"{len(graph.edges)} links leave the {graph.n} nodes disconnected")
     state = LaplacianState(graph.laplacian())
     vals = state.eigvals
-    tol = connectivity_tolerance(vals)
+    tol = state.n * np.finfo(float).eps * float(vals[-1])  # scale-aware zero
     if vals[1] <= tol:
         raise IllConditioned(f"connected, but algebraic connectivity {vals[1]:.3e} "
                              f"is below the zero tolerance {tol:.3e}")

@@ -26,6 +26,10 @@ STATIONARY_HORIZON = 20.0
 # arrays of that size (state, drift, noise draw), about 240 MB at the cap.
 MAX_ENSEMBLE_ENTRIES = 10_000_000
 
+# Most Euler updates, steps x trials x nodes, per simulation: at the ~17 ns an
+# update takes on one Xeon core (1 BLAS thread), about 3 minutes at the cap.
+MAX_EULER_UPDATES = 10_000_000_000
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -40,6 +44,8 @@ class SimConfig:
             raise InvalidParameter(f"step size must be positive, got {self.dt}")
         if self.trials < 100:
             raise InvalidParameter(f"need at least 100 trials, got {self.trials}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise InvalidParameter(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -71,20 +77,26 @@ def simulate_output_covariance(state: LaplacianState, cfg: SimConfig,
     Returns (estimate, standard error) over cfg.trials independent paths
     started at zero.  The step count is rounded so the grid hits t exactly
     with an effective step no larger than cfg.dt.  Raises InvalidParameter,
-    before any allocation, when trials x n exceeds MAX_ENSEMBLE_ENTRIES.
+    before any allocation, when trials x n exceeds MAX_ENSEMBLE_ENTRIES or
+    steps x trials x n exceeds MAX_EULER_UPDATES; its subclass
+    UnstableStepSize when cfg.dt is above :func:`stable_step_bound`.
     """
     if t < 0.0:
         raise InvalidParameter(f"time must be nonnegative, got {t}")
     if cfg.trials * state.n > MAX_ENSEMBLE_ENTRIES:
         raise InvalidParameter(f"{cfg.trials} trials x {state.n} nodes exceed the cap of "
                                f"{MAX_ENSEMBLE_ENTRIES} ensemble entries")
+    # Compared as a float first: a tiny dt would overflow an integer step count.
+    steps = max(1, math.ceil(t / cfg.dt)) if t / cfg.dt <= MAX_EULER_UPDATES else math.inf
+    if steps * cfg.trials * state.n > MAX_EULER_UPDATES:
+        raise InvalidParameter(f"{t / cfg.dt:.3g} steps x {cfg.trials} trials x {state.n} nodes "
+                               f"exceed the cap of {MAX_EULER_UPDATES:.0e} Euler updates")
     if cfg.dt > stable_step_bound(state):
         raise UnstableStepSize(
             f"dt={cfg.dt} above stability bound {stable_step_bound(state):.3e}")
     if t == 0.0:
         return 0.0, 0.0
 
-    steps = max(1, math.ceil(t / cfg.dt))
     h = t / steps
     root_h = math.sqrt(h)
     L = np.asarray(state.matrix)

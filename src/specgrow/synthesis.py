@@ -284,13 +284,6 @@ def _spectral_scores(m: MeasureSpec, state: LaplacianState, rows, cols, ws) -> n
     return scores
 
 
-def _first_order(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarray, ...],
-                 idx: np.ndarray) -> np.ndarray:
-    """First-order change w <G, L_e> of the measure for each link idx, G its gradient."""
-    rows, cols, ws = (a[idx] for a in links)
-    return ws * pair_form(gradient(m, state), rows, cols)
-
-
 def _cut(best: float) -> float:
     """The highest lower bound that cannot rule a candidate out: the best
     score's tie band plus SLACK."""
@@ -320,7 +313,7 @@ def _pinched_bounds(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarr
     Z2 = Z * Z
     spectra = lams + ws[:, None] * Z2
     block = min(block, lams.size)
-    if block and idx.size:
+    if block:
         sel = np.argpartition(-Z2, block - 1, axis=1)[:, :block]
         lam_s = np.sort(lams[sel], axis=1)
         zs = np.take_along_axis(Z, sel, axis=1)
@@ -393,23 +386,6 @@ def _pruned_scores(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarra
     return scores
 
 
-def _downdate_factors(apply, u: np.ndarray, c: float, top: int):
-    """Factors of the rank-one downdate of the pseudo-inverse powers P^1..P^top.
-
-    With u = P(e_i - e_j) and c = (1/w + r_e(L))^-1, adding w L_e downdates P
-    to P - c u u^T, and P^m to P^m - sum_{s+t<m} g[m-1-s-t] K_s K_t^T with the
-    rows K = [u, Pu, P^2 u][:top]; apply(x) is the product P x.  Returns K and
-    the Hankel coefficients g, where g[k] sums the terms with k+1 factors
-    c u u^T.
-    """
-    krylov = [u]
-    while len(krylov) < top:
-        krylov.append(apply(krylov[-1]))
-    h = [float(u @ v) for v in krylov]  # r_e(L^2), r_e(L^3), ...
-    g = (c, -c * c * h[0], c * c * (c * h[0] * h[0] - h[1]) if top > 1 else 0.0)
-    return np.array(krylov), g[:top]
-
-
 def _hankel_core(g, m: int) -> np.ndarray:
     """The m x m core C_m of the downdate of P^m: C[s, t] = g[m-1-s-t] for
     s + t < m, else 0."""
@@ -425,16 +401,17 @@ class _Resistances:
     statistic.  At the root both come from the spectrum: R copies the top
     rows of the candidate set's shared root resistances
     (:meth:`CandidateSet._root_resistances`), and tr P^q = sum_k lambda_k^-q,
-    so no power of P is formed.  A pick downdates
-    P^q by sum_{s+t<q} g[q-1-s-t] K_s K_t^T (:func:`_downdate_factors`), which
-    lowers every r_q by sum_{s+t<q} g[q-1-s-t] y_s y_t, y_s = K_s[rows] -
-    K_s[cols], and tr P^q by the same sum over the diagonal: O(p top^2)
-    elementwise work after the top - 1 products with P that build K.  A
-    product with P is P0 x - U^T (c * U x), with P0 the root's
-    pseudo-inverse and the rows of U, c the u vectors and coefficients of
-    the picks so far; once U holds ceil(n/2) rows such a product costs what
-    a dense one does, so the chain is folded into P0 by one syrk,
-    P0 - Y Y^T with Y = U^T sqrt(c).
+    so no power of P is formed.  Adding w L_e downdates P to P - c u u^T,
+    u = P (e_i - e_j), c = (1/w + r_1)^-1, and P^q by sum_{s+t<q}
+    g[q-1-s-t] K_s K_t^T, with the rows K = [u, Pu, P^2 u][:top] and g[k]
+    the sum of the terms with k+1 factors c u u^T.  That lowers every r_q
+    by sum_{s+t<q} g[q-1-s-t] y_s y_t, y_s = K_s[rows] - K_s[cols], and
+    tr P^q by the same sum over the diagonal: O(p top^2) elementwise work
+    after the top - 1 products with P that build K.  A product with P is
+    P0 x - U^T (c * U x), with P0 the root's pseudo-inverse and the rows of
+    U, c the u vectors and coefficients of the picks so far; once U holds
+    ceil(n/2) rows such a product costs what a dense one does, so the chain
+    is folded into P0 by one syrk, P0 - Y Y^T with Y = U^T sqrt(c).
     """
 
     def __init__(self, form: _ClosedForm, state: LaplacianState,
@@ -451,13 +428,6 @@ class _Resistances:
         """Post-addition measure value of each candidate idx (all by default)."""
         return self.form.transform(self.stat - _drop(self.form, self.ws[idx], self.R[:, idx]))
 
-    def _product(self, x: np.ndarray) -> np.ndarray:
-        out = self.P @ x
-        if self.picks:
-            U = self.U[:self.picks]
-            out -= (self.c[:self.picks] * (U @ x)) @ U
-        return out
-
     def add(self, link: int, value: float) -> None:
         """Add candidate `link`, whose score was `value`."""
         i, j, w = int(self.rows[link]), int(self.cols[link]), float(self.ws[link])
@@ -470,42 +440,42 @@ class _Resistances:
             n = self.root.n
             self.P = np.asarray(self.root.pinv)
             self.U, self.c, self.picks = np.empty(((n + 1) // 2, n)), np.empty((n + 1) // 2), 0
+        U, c = self.U[:self.picks], self.c[:self.picks]
         u = self.P[i] - self.P[j]  # P is symmetric; its rows are contiguous
         if self.picks:
-            U = self.U[:self.picks]
-            u -= (self.c[:self.picks] * (U[:, i] - U[:, j])) @ U
+            u -= (c * (U[:, i] - U[:, j])) @ U
+        krylov = [u]
+        while len(krylov) < top:
+            x = self.P @ krylov[-1]
+            if self.picks:
+                x -= (c * (U @ krylov[-1])) @ U
+            krylov.append(x)
+        K = np.array(krylov)
         coef = 1.0 / (1.0 / w + self.R[0, link])
-        K, g = _downdate_factors(self._product, u, coef, top)
+        h = [float(u @ v) for v in krylov]  # r_e(L^2), r_e(L^3), ...
+        g = (coef, -coef * coef * h[0],
+             coef * coef * (coef * h[0] * h[0] - h[1]) if top > 1 else 0.0)[:top]
         if power is not None:  # tr K_s K_t^T = K_s . K_t
             self.stat -= float(np.sum(_hankel_core(g, power) * (K[:power] @ K[:power].T)))
+        # r_q drops by the x^(q-1) coefficient of G(x) Y(x)^2, G and Y the
+        # polynomials with coefficients g and y_s: the square's coefficients
+        # A_k = sum_{s+t=k} y_s y_t, each pair s < t once and doubled, then times
+        # the lower-triangular Toeplitz matrix of g, C_top with its rows reversed.
         # Picked candidates are updated too, and nothing reads them again.
-        self.R -= _hankel_drops(g, K.take(self.rows, axis=1) - K.take(self.cols, axis=1))
+        Y = K.take(self.rows, axis=1) - K.take(self.cols, axis=1)
+        twice, A = 2.0 * Y, np.empty_like(Y)
+        for k in range(top):
+            a = Y[k // 2] * Y[k // 2] if k % 2 == 0 else 0.0
+            for s in range((k + 1) // 2):
+                a = a + twice[s] * Y[k - s]
+            A[k] = a
+        self.R -= _hankel_core(g, top)[::-1] @ A
         self.U[self.picks], self.c[self.picks] = u, coef
         self.picks += 1
         if self.picks == self.U.shape[0]:
             Y = self.U.T * np.sqrt(self.c)
             self.P = self.P - Y @ Y.T
             self.picks = 0
-
-
-def _hankel_drops(g, Y: np.ndarray) -> np.ndarray:
-    """Row q - 1 holds sum_{s+t<q} g[q-1-s-t] Y_s Y_t, q = 1..len(Y), elementwise.
-
-    That sum is the x^(q-1) coefficient of G(x) Y(x)^2, with G and Y the
-    polynomials whose coefficients are g and the rows of Y: the square's
-    coefficients A_k = sum_{s+t=k} Y_s Y_t, each pair s < t once and
-    doubled, then times the lower-triangular Toeplitz matrix of g, which is
-    the Hankel core C_top with its rows reversed.
-    """
-    top = len(Y)
-    twice = 2.0 * Y
-    A = np.empty_like(Y)
-    for k in range(top):
-        a = Y[k // 2] * Y[k // 2] if k % 2 == 0 else 0.0
-        for s in range((k + 1) // 2):
-            a = a + twice[s] * Y[k - s]
-        A[k] = a
-    return _hankel_core(g, top)[::-1] @ A
 
 
 def _argmin_lex(scores) -> tuple[int, int]:
@@ -669,7 +639,8 @@ def linearized(state: LaplacianState, candidates: CandidateSet, k: int,
     _check_instance(state, candidates, k)
     t0 = perf_counter()
     links = candidates.arrays
-    changes = _first_order(m, state, links, np.arange(candidates.p))
+    # First-order change w <G, L_e> of each link, G the measure's gradient.
+    changes = links[2] * pair_form(gradient(m, state), *links[:2])
     # Greedy's tie rule, pick by pick, on the first-order changes left.
     order, remaining, tie_breaks = np.empty(k, dtype=int), np.arange(candidates.p), 0
     for step in range(k):

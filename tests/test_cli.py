@@ -243,6 +243,15 @@ def test_validate_trials_above_the_ensemble_cap_exits_4(k3_file):
     assert_refused_at_once("validate", k3_file, "--trials", "100000000000")
 
 
+def test_validate_bad_seed_or_step_size_exits_4(tmp_path):
+    """A negative seed, a step count past the Euler-update cap and a step
+    above the stability bound are each refused as a parameter error."""
+    graph_path = tmp_path / "path4.json"
+    graph_path.write_text(json.dumps({"n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0]]}))
+    for option in (("--seed", "-1"), ("--dt", "1e-9"), ("--dt", "1.0")):
+        assert_refused_at_once("validate", str(graph_path), *option)
+
+
 def test_validate_has_no_horizon_option(k3_file):
     assert run_cli("validate", k3_file, "--t-final", "5").returncode == 2
 

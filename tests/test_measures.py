@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -406,6 +407,18 @@ def test_planted_increasing_measure_fails_monotonicity():
         sg.check_axioms(increasing, trials=50, seed=3)
     assert err.value.axiom == "monotonicity"
     assert err.value.witness is not None
+
+
+def test_relabeling_check_gives_an_infinite_value_no_tolerance():
+    """Against an infinite value, only an equal relabeled value passes."""
+    calls = itertools.count(1)
+
+    def infinite_but_relabeled(lams, n):  # each trial's sixth value is the relabeled graph's
+        return 1.0 if next(calls) % 6 == 0 else math.inf
+
+    with pytest.raises(sg.AxiomViolation) as err:
+        sg.check_axioms(infinite_but_relabeled, trials=3, seed=0)
+    assert err.value.axiom == "orthogonal-invariance"
 
 
 def test_mq_q1_convexity_is_equality():

@@ -46,6 +46,52 @@ def test_ensemble_above_the_cap_is_refused_before_allocation():
             sg.validate_measure(s, sg.parse_measure("zeta:q=1"), cfg)
 
 
+def test_seed_must_be_a_nonnegative_integer():
+    for seed in (-1, 1.5, "0", None):
+        with pytest.raises(sg.InvalidParameter, match="seed"):
+            sg.SimConfig(dt=0.01, trials=100, seed=seed)
+    assert sg.SimConfig(dt=0.01, trials=100, seed=np.int64(3)).seed == 3
+
+
+def test_euler_updates_above_the_cap_are_refused_before_allocation(monkeypatch):
+    """ceil(t / dt) x trials x n above MAX_EULER_UPDATES raises InvalidParameter
+    before the ensemble is allocated, also where t / dt overflows an integer."""
+    from specgrow import montecarlo
+    # The largest criterion-8 run (2,799 steps x 10,000 trials x 10 nodes) keeps
+    # 30x headroom under the cap.
+    assert montecarlo.MAX_EULER_UPDATES >= 30 * 2_799 * 10_000 * 10
+    s = sg.build_laplacian(k3())
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the ensemble was allocated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "zeros", no_allocation)
+        for dt, t in ((1e-9, 1000.0), (5e-324, 1.0)):
+            cfg = sg.SimConfig(dt=dt, trials=100, seed=0)
+            with pytest.raises(sg.InvalidParameter, match="Euler updates"):
+                sg.simulate_output_covariance(s, cfg, t)
+        with pytest.raises(sg.InvalidParameter, match="Euler updates"):
+            sg.validate_measure(s, sg.parse_measure("zeta:q=1"),
+                                sg.SimConfig(dt=1e-9, trials=100, seed=0))
+    # t / dt = 100 steps exactly: 100 x 100 trials x 3 nodes = 30,000 updates.
+    cfg = sg.SimConfig(dt=0.01, trials=100, seed=0)
+    monkeypatch.setattr(montecarlo, "MAX_EULER_UPDATES", 30_000)
+    assert sg.simulate_output_covariance(s, cfg, 1.0)[0] > 0.0
+    monkeypatch.setattr(montecarlo, "MAX_EULER_UPDATES", 29_999)
+    with pytest.raises(sg.InvalidParameter, match="Euler updates"):
+        sg.simulate_output_covariance(s, cfg, 1.0)
+
+
+def test_zero_closed_form_and_standard_error_are_reported_not_divided():
+    """At t = 1e-300 the tau closed form rounds to 0, and so does the
+    standard error; the report reads an infinite z and effect size."""
+    s = sg.build_laplacian(k3())
+    r = sg.validate_measure(s, sg.parse_measure("tau:t=1e-300"), cfg_for(s, trials=100))
+    assert r.closed_form == 0.0 and r.std_error == 0.0 and r.estimate > 0.0
+    assert r.z_score == math.inf and r.effect_size == math.inf and not r.passed
+
+
 def test_seed_determinism_is_bitwise():
     s = sg.build_laplacian(k3())
     cfg = cfg_for(s, trials=500, seed=42)
