@@ -59,12 +59,15 @@ TIE_REL = 1e-12
 # was 5.5e-7 of the value, for mq:q=1 with links of weight 1e8 at n = 80-160,
 # before that measure moved to a closed form (which greedy does not prune).
 SLACK = 1e-6
-# Greedy's bounds after the diagonal one: pinchings that couple the 32, 64,
-# then 128 eigen-directions a link moves most (see _pinched_bounds).  A batch
-# of the lowest pending links is tightened together, up to CHUNK * BLOCKS[0]
-# coupled directions in all: CHUNK links at the first level, fewer deeper.
-# On graphs of at most BLOCKS[0] + 1 nodes greedy skips the pinchings, each
-# as costly as an exact score, and scores up to CHUNK links per stacked call.
+# Greedy's bound levels (see _pruned_scores): the diagonal, then pinchings
+# that couple the 32, 64, then 128 eigen-directions a link moves most (see
+# _pinched_bounds), up to the first that couples every direction, then the
+# exact score.  So graphs of at most 33 nodes get no pinching (one would cost
+# an exact score), 34-65 nodes get 32 and a full block, 66-129 nodes 32, 64
+# and a full block, larger graphs 32, 64 and 128.  A batch of the lowest
+# pending links is tightened, or scored, together, up to CHUNK * BLOCKS[0]
+# coupled directions in all: CHUNK links at the first level, fewer deeper,
+# one exact score after pinchings and CHUNK without.
 # Over seeds 0-39, a grow-spectral-n300 solve (n = 300, p = 1,000, k = 2)
 # computes them for 40-91, 8-24 and 2-9 links (0.03, 0.09 and 0.35 ms a
 # link, against 2 ms for an exact score), then scores 2-4 links.  The 64
@@ -336,53 +339,47 @@ def _pruned_scores(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarra
     """Exact scores of the links idx that the lower bounds cannot rule out;
     the rest read inf.
 
-    A best-first walk over a heap of (bound, position, level) entries.
-    Level 0 is the diagonal bound of every link; level l in 1..len(BLOCKS)
-    is the BLOCKS[l - 1] pinching, up to the first block of every direction.
-    While the lowest pending bound is within the best score's cut, either
-    that entry is at the deepest level and its link is scored exactly, or
-    it and the entries after it, lowest first while they are within the cut
-    and short of the deepest level, get their next bound, one call per
-    level, until the batch would couple more than CHUNK * BLOCKS[0]
-    directions.  A link is scored only while its bound is the lowest pending
-    and could still tie the best score, and a bound is tightened only while
-    it is within the cut; the cut only falls, so the walk ends with every
-    link left unscored above it.  When BLOCKS[0] >= n - 1 the diagonal is
-    the deepest level and up to CHUNK of the lowest pending links within
-    the cut are scored per stacked call; otherwise one link per call.
+    A best-first walk over a heap of (bound, position, level) entries.  The
+    levels, built here from n, are widths: the diagonal bound (0), the
+    BLOCKS pinchings up to the first that couples every direction (none if
+    that is BLOCKS[0]), then the exact score, of width CHUNK * BLOCKS[0]
+    after pinchings and BLOCKS[0] without.  Every link starts with its
+    diagonal bound (skipped for at most CHUNK links).  While the lowest
+    pending bound is within the best score's cut, it and the entries after
+    it, lowest first while within the cut and of its kind (bound or exact),
+    form one batch until their widths would pass CHUNK * BLOCKS[0]; each
+    level of the batch gets its next bound, or its score, in one call.  A
+    link is scored only while its bound is the lowest pending and could
+    still tie the best score, and a bound is tightened only while it is
+    within the cut; the cut only falls, so the walk ends with every link
+    left unscored above it.
     """
+    short = sum(block < state.n - 1 for block in BLOCKS)
+    widths = (0, *BLOCKS[:short + 1], CHUNK * BLOCKS[0]) if short else (0, BLOCKS[0])
+    last = len(widths) - 1
     scores = np.full(idx.size, math.inf)
     best = math.inf
-    deepest = next((level for level, block in enumerate(BLOCKS, 1) if block >= state.n - 1),
-                   len(BLOCKS))
-    # A first-level pinching would couple every direction, at an exact score's cost.
-    deepest, per_call = (0, CHUNK) if deepest == 1 else (deepest, 1)
     if idx.size > CHUNK:
-        diagonal = _pinched_bounds(m, state, links, idx, 0)
+        diagonal = _pinched_bounds(m, state, links, idx, widths[0])
     else:  # one batch, which the diagonal bound would neither order nor filter
         diagonal = np.full(idx.size, -math.inf)
-    heap = [(bound, pos, 0) for pos, bound in enumerate(diagonal.tolist())]
+    heap = [(bound, pos, 1) for pos, bound in enumerate(diagonal.tolist())]
     heapq.heapify(heap)
     while heap and heap[0][0] <= _cut(best):
-        if heap[0][2] == deepest:
-            cut, picked = _cut(best), []
-            while (heap and heap[0][2] == deepest and heap[0][0] <= cut
-                   and len(picked) < per_call):
-                picked.append(heapq.heappop(heap)[1])
-            scores[picked] = _spectral_scores(m, state, *(a[idx[picked]] for a in links))
-            best = min(best, float(scores[picked].min()))
-            continue
-        batches: dict[int, list[int]] = {}
-        coupled = 0
-        while (heap and heap[0][2] < deepest and heap[0][0] <= _cut(best)
-               and (not batches or coupled + BLOCKS[heap[0][2]] <= CHUNK * BLOCKS[0])):
+        cut, scoring, width, batches = _cut(best), heap[0][2] == last, 0, {}
+        while (heap and heap[0][0] <= cut and (heap[0][2] == last) == scoring
+               and (not batches or width + widths[heap[0][2]] <= CHUNK * BLOCKS[0])):
             _, pos, level = heapq.heappop(heap)
             batches.setdefault(level, []).append(pos)
-            coupled += BLOCKS[level]
+            width += widths[level]
         for level, batch in batches.items():
-            bounds = _pinched_bounds(m, state, links, idx[batch], BLOCKS[level])
-            for bound, pos in zip(bounds.tolist(), batch):
-                heapq.heappush(heap, (bound, pos, level + 1))
+            if level == last:
+                scores[batch] = _spectral_scores(m, state, *(a[idx[batch]] for a in links))
+                best = min(best, float(scores[batch].min()))
+            else:
+                bounds = _pinched_bounds(m, state, links, idx[batch], widths[level])
+                for bound, pos in zip(bounds.tolist(), batch):
+                    heapq.heappush(heap, (bound, pos, level + 1))
     return scores
 
 
@@ -520,21 +517,22 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
     the eigenbasis of L, adding w L_e adds w z z^T, z = V^T (e_i - e_j); the
     spectrum of a pinching of Lambda + w z z^T is majorized by the true one,
     and every measure is convex and symmetric in the spectrum, so its value
-    there is a lower bound (:func:`_pinched_bounds`).  Each step computes the
-    diagonal pinching, lambda_k + w z_k^2, for every candidate; tighter
-    pinchings keep the BLOCKS directions with the largest z_k^2 coupled.
-    The step walks best-first (:func:`_pruned_scores`): while the lowest
-    pending bound is at most best + (TIE_REL + SLACK) max(1, |best|), its
-    candidate is scored if that bound is the tightest, and otherwise it and
-    the next lowest, at any level short of the tightest, get their next
-    bound in one batch of at most CHUNK * BLOCKS[0] coupled directions;
-    SLACK covers the rounding between the bounds and the scores.  Every
-    unscored candidate then lies outside the tie band, so the tie rule, the
-    picks, the values and `tie_breaks` are those of scoring every candidate.
-    The bounds read the spectrum: one eigendecomposition per grown state.
-    Exact scores, also the full scan's, come a stack of links per eigvalsh
-    (:func:`_spectral_scores`).  On graphs of at most BLOCKS[0] + 1 nodes the
-    walk computes no pinching, so no grown state is decomposed.
+    there is a lower bound (:func:`_pinched_bounds`).  The levels are the
+    diagonal pinching, lambda_k + w z_k^2, of every candidate, then those
+    that keep the BLOCKS directions with the largest z_k^2 coupled, up to
+    the first that couples every direction (a full block at 34-129 nodes;
+    none at most 33 nodes), then the exact score.  The step walks
+    best-first (:func:`_pruned_scores`): while the lowest pending bound is
+    at most best + (TIE_REL + SLACK) max(1, |best|), it and the next lowest
+    of its kind, bounds or exact scores, get their next level in one batch
+    of at most CHUNK * BLOCKS[0] coupled directions (an exact score counts
+    as all of them after pinchings, as BLOCKS[0] without); SLACK covers
+    the rounding between the bounds and the scores.  Every unscored
+    candidate then lies outside the tie band, so the tie rule, the picks,
+    the values and `tie_breaks` are those of scoring every candidate.
+    The bounds read the spectrum: one eigendecomposition per grown state,
+    none where there is no pinching.  Exact scores, also the full scan's,
+    come a stack of links per eigvalsh (:func:`_spectral_scores`).
     """
     _check_instance(state, candidates, k)
     t0 = perf_counter()

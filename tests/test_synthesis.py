@@ -609,6 +609,43 @@ def test_small_graph_greedy_scores_each_step_in_one_stacked_call(monkeypatch):
             assert sizes == list(range(c.p, c.p - k, -1)), spec
 
 
+def test_greedy_walk_levels_by_graph_size(monkeypatch):
+    """The pinchings greedy computes: none up to 33 nodes, then 32 and a block
+    of every direction up to 65 nodes, 32, 64 and a block of every direction
+    up to 129, and 32, 64 and 128 above.  Each link passes every level before
+    its exact score, so each step calls each level at least once.  An exact
+    call scores up to CHUNK links without pinchings, one link after them."""
+    from specgrow import synthesis
+    blocks, sizes = set(), []
+    pinched_bounds, spectral_scores = synthesis._pinched_bounds, synthesis._spectral_scores
+
+    def recording_bounds(m, state, links, idx, block):
+        blocks.add(block)
+        return pinched_bounds(m, state, links, idx, block)
+
+    def recording_scores(m, state, rows, cols, ws):
+        sizes.append(len(rows))
+        return spectral_scores(m, state, rows, cols, ws)
+
+    monkeypatch.setattr(synthesis, "_pinched_bounds", recording_bounds)
+    monkeypatch.setattr(synthesis, "_spectral_scores", recording_scores)
+    expected = {12: (), 33: (), 34: (32, 64), 40: (32, 64), 65: (32, 64), 66: (32, 64, 128),
+                100: (32, 64, 128), 129: (32, 64, 128), 130: (32, 64, 128), 140: (32, 64, 128)}
+    rng = np.random.default_rng(193)
+    for n, pinchings in expected.items():
+        s = sg.build_laplacian(random_connected(rng, n))
+        c = random_candidates(rng, n, 3 * synthesis.CHUNK)
+        blocks.clear()
+        sizes.clear()
+        sg.greedy(s, c, 2, sg.parse_measure("tau:t=1"))
+        assert sorted(blocks) == [0, *pinchings], n
+        if pinchings:
+            assert (pinchings[-1] >= n - 1) == (n <= 129), n
+            assert set(sizes) == {1}, n
+        else:
+            assert 1 < max(sizes) <= synthesis.CHUNK, n
+
+
 def test_brute_force_equals_the_per_subset_loop_bit_for_bit(monkeypatch):
     """Stacked subset values against one add_link loop and eigvalsh per
     subset; streaming in stacks of three changes nothing."""
