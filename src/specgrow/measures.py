@@ -148,7 +148,7 @@ def _row_values(m: MeasureSpec, lams: np.ndarray, n: int):
                         np.sum(1.0 / (lams + root), axis=-1))
     if m.kind == "tau":
         t = m.param
-        return np.sum((1.0 - np.exp(-2.0 * t * lams)) / (2.0 * lams), axis=-1)
+        return np.sum(-np.expm1(-2.0 * t * lams) / (2.0 * lams), axis=-1)
     if m.kind == "hankel":
         return 0.5 / np.min(lams, axis=-1)
     if m.kind == "volume":
@@ -206,8 +206,8 @@ def phi_prime(m: MeasureSpec, eigenvalues) -> np.ndarray:
         return g * g * (1.0 - lams / root)
     if m.kind == "tau":
         t = m.param
-        e = np.exp(-2.0 * t * lams)
-        return t * e / lams - (1.0 - e) / (2.0 * lams * lams)
+        x = -2.0 * t * lams
+        return t * np.exp(x) / lams + np.expm1(x) / (2.0 * lams * lams)
     if m.kind == "volume":
         return -1.0 / lams
     if m.kind == "hp":

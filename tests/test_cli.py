@@ -274,3 +274,14 @@ def test_validate_transient(tmp_path, k3_file):
     assert out.returncode == 0, out.stderr
     payload = json.loads(out.stdout)
     assert payload["t"] == 0.5
+
+
+def test_validate_transient_at_tiny_t(tmp_path):
+    """At t = 1e-17 the closed form is 3t on a 4-node path, which the
+    simulation matches; a form that cancels reads about half of it."""
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0]]}))
+    out = run_cli("validate", str(path), "--measure", "tau:t=1e-17", "--trials", "100")
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    assert payload["closed_form"] == 3e-17 and payload["passed"], payload

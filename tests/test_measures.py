@@ -6,7 +6,7 @@ import pytest
 
 import specgrow as sg
 from util import (differentiable_suite, full_recompute_value, k3, kind_suite,
-                  random_connected, resistance, two_node)
+                  path_graph, random_connected, resistance, two_node)
 
 
 def gamma_entropy_quadrature(lams, g, npts=3000):
@@ -196,6 +196,19 @@ def test_transient_limit_approaches_half_zeta1():
         z1 = sg.evaluate(sg.parse_measure("zeta:q=1"), s)
         t = 50.0 / float(s.eigvals[1])
         assert abs(sg.evaluate(sg.MeasureSpec("tau", t), s) - z1 / 2.0) <= 1e-8 * z1
+
+
+def test_transient_small_and_large_t_limits():
+    """tau:t=T is sum (1 - exp(-2 lam T)) / (2 lam): (n - 1) T - T^2 tr L + O(T^3)
+    at small T, read without cancellation down to T = 1e-300, and half of
+    zeta:q=1 at large T; both to 1e-15 relative."""
+    s = sg.build_laplacian(path_graph(4))
+    trace = float(np.trace(s.matrix))
+    for t in (1e-12, 1e-15, 1e-17, 1e-300):
+        assert sg.evaluate(sg.MeasureSpec("tau", t), s) == pytest.approx(
+            3.0 * t - trace * t * t, rel=1e-15, abs=0.0), t
+    half_z1 = sg.evaluate(sg.parse_measure("zeta:q=1"), s) / 2.0
+    assert sg.evaluate(sg.MeasureSpec("tau", 1e300), s) == pytest.approx(half_z1, rel=1e-15)
 
 
 # --- companion form -----------------------------------------------------------

@@ -83,9 +83,12 @@ def test_euler_updates_above_the_cap_are_refused_before_allocation(monkeypatch):
         sg.simulate_output_covariance(s, cfg, 1.0)
 
 
-def test_zero_closed_form_and_standard_error_are_reported_not_divided():
-    """At t = 1e-300 the tau closed form rounds to 0, and so does the
-    standard error; the report reads an infinite z and effect size."""
+def test_zero_closed_form_and_standard_error_are_reported_not_divided(monkeypatch):
+    """At t = 1e-300 the standard error underflows to 0.  The tau closed form
+    reads 2t there, so a zero one is patched in; the report reads an
+    infinite z and effect size."""
+    from specgrow import montecarlo
+    monkeypatch.setattr(montecarlo, "evaluate", lambda m, state: 0.0)
     s = sg.build_laplacian(k3())
     r = sg.validate_measure(s, sg.parse_measure("tau:t=1e-300"), cfg_for(s, trials=100))
     assert r.closed_form == 0.0 and r.std_error == 0.0 and r.estimate > 0.0
