@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import IllConditioned, InvalidParameter, NotConnected
+from .errors import GraphFormatError, IllConditioned, InvalidParameter, NotConnected
 from .graphs import Edge, WeightedGraph, add_link, node_pair
 
 
@@ -108,12 +108,15 @@ class LaplacianState:
         P - c u u^T, u = P (e_i - e_j), c = (1/w + r_e)^-1: O(n^2).
 
         Raises GraphFormatError for a node id outside [0, n), and
-        InvalidParameter unless 0 < w < inf.
+        InvalidParameter unless w > 0 and twice each endpoint's weighted
+        degree after the link is finite (see build_laplacian).
         """
         i, j = node_pair(*edge, self.n)
         w = float(weight)
-        if not (0.0 < w < math.inf):
-            raise InvalidParameter(f"edge weight must be positive and finite, got {weight}")
+        degree = float(max(self.matrix[i, i], self.matrix[j, j])) + w  # after the link
+        if not (0.0 < w and 2.0 * degree < math.inf):
+            raise InvalidParameter(f"edge weight {weight} is not positive, or overflows "
+                                   f"twice the weighted degree of node {i} or {j}")
         P = np.asarray(self.pinv)
         u = P[:, i] - P[:, j]
         c = 1.0 / (1.0 / w + float(pair_form(P, i, j)))
@@ -167,10 +170,17 @@ def build_laplacian(graph: WeightedGraph) -> LaplacianState:
             union-find's n-entry list); its subclass IllConditioned if
             they join every node but the second-smallest eigenvalue does
             not clear the scale-aware zero threshold.
-        GraphFormatError: above MAX_NODES nodes, before any n x n allocation.
+        GraphFormatError: above MAX_NODES nodes, or when twice the largest
+            weighted degree, which bounds every eigenvalue (Gershgorin), is
+            not finite; both before any n x n allocation.
     """
     if len(graph.edges) < graph.n - 1 or not _connected(graph):
         raise NotConnected(f"{len(graph.edges)} links leave the {graph.n} nodes disconnected")
+    if not 4.0 * sum(graph.edges.values()) < math.inf:  # else no degree is near overflow
+        degrees = np.bincount(np.ravel(list(graph.edges)), np.repeat(list(graph.edges.values()), 2))
+        if not 2.0 * float(degrees.max()) < math.inf:
+            raise GraphFormatError(f"twice the weighted degree of node {int(degrees.argmax())} "
+                                   "overflows a float")
     state = LaplacianState(graph.laplacian())
     vals = state.eigvals
     tol = state.n * np.finfo(float).eps * float(vals[-1])  # scale-aware zero

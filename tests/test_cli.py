@@ -285,3 +285,26 @@ def test_validate_transient_at_tiny_t(tmp_path):
     assert out.returncode == 0, out.stderr
     payload = json.loads(out.stdout)
     assert payload["closed_form"] == 3e-17 and payload["passed"], payload
+
+
+@pytest.mark.parametrize("n, edges, links, code", [
+    (3, [[0, 1, 1e308], [1, 2, 1e308]], None, 2),
+    (2, [[0, 1, 1.7e308]], None, 2),
+    (40, [[i, i + 1, 1.0] for i in range(39)],
+     [[0, 5, 1e308], [0, 9, 1e308], [3, 20, 1.0], [1, 30, 1.0]], 4),
+], ids=["measure-two-1e308", "measure-one-1.7e308", "grow-1e308-candidates"])
+def test_weights_that_overflow_the_laplacian_are_refused(tmp_path, n, edges, links, code):
+    """A graph whose doubled largest weighted degree overflows exits 2; a pick
+    that would make it overflow exits 4; each with one error line."""
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"n": n, "edges": edges}))
+    if links is None:
+        out = run_cli("measure", str(gpath), "--measure", "zeta:q=1")
+    else:
+        cands = tmp_path / "c.json"
+        cands.write_text(json.dumps({"links": links}))
+        out = run_cli("grow", str(gpath), str(cands), "--measure", "tau:t=1", "-k", "3")
+    assert out.returncode == code, out.stdout + out.stderr
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert [line for line in out.stderr.splitlines() if line.startswith("error:")] == \
+        [out.stderr.splitlines()[-1]], out.stderr

@@ -168,6 +168,25 @@ def test_rank_one_zero_weight_limit():
             s.with_edge((0, 1), w)
 
 
+def test_weights_that_overflow_twice_a_degree_are_refused():
+    """Every eigenvalue is at most twice the largest weighted degree
+    (Gershgorin): a graph where that overflows is refused before L is
+    assembled, and so is a link that would make it overflow at an endpoint."""
+    with pytest.raises(sg.GraphFormatError, match="node 1 overflows"):
+        sg.build_laplacian(graph(3, [(0, 1, 1e308), (1, 2, 1e308)]))
+    with pytest.raises(sg.GraphFormatError, match="overflows"):
+        sg.build_laplacian(graph(2, [(0, 1, 1.7e308)]))
+    # four times the total weight overflows, twice each degree does not
+    s = sg.build_laplacian(graph(4, [(0, 1, 2e307), (1, 2, 2e307), (2, 3, 2e307)]))
+    assert s.eigvals[1] == pytest.approx(2e307 * (2.0 - 2.0 ** 0.5))
+    s = sg.build_laplacian(path_graph(3)).with_edge((0, 2), 8e307)
+    assert float(s.matrix[0, 0]) == 8e307 + 1.0
+    for edge in [(0, 1), (1, 2)]:  # 2 (8e307 + 1 + 1e307) overflows at node 0 or node 2
+        with pytest.raises(sg.InvalidParameter, match="overflows"):
+            s.with_edge(edge, 1e307)
+    s.with_edge((0, 1), 8e306)
+
+
 def test_with_edge_rejects_links_outside_the_graph():
     """Node ids outside [0, n) raise GraphFormatError, as read_links does:
     -1 is not wrapped to the last node."""
