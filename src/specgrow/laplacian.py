@@ -104,8 +104,8 @@ class LaplacianState:
     # --- rank-one growth ------------------------------------------------
 
     def with_edge(self, edge: Edge, weight: float) -> LaplacianState:
-        """State for L + w L_e carrying P by the Sherman-Morrison downdate
-        P - c u u^T, u = P (e_i - e_j), c = (1/w + r_e)^-1: O(n^2).
+        """State for L + w L_e carrying P by one O(n^2) downdate
+        (:func:`downdated_pinvs`).
 
         Raises GraphFormatError for a node id outside [0, n), and
         InvalidParameter unless w > 0 and twice each endpoint's weighted
@@ -117,30 +117,32 @@ class LaplacianState:
         if not (0.0 < w and 2.0 * degree < math.inf):
             raise InvalidParameter(f"edge weight {weight} is not positive, or overflows "
                                    f"twice the weighted degree of node {i} or {j}")
-        P = np.asarray(self.pinv)
-        u = P[:, i] - P[:, j]
-        c = 1.0 / (1.0 / w + float(pair_form(P, i, j)))
-        Q = np.multiply.outer(u * c, u)
         L = np.array(self.matrix)
         add_link(L, i, j, w)
-        return LaplacianState(L, np.subtract(P, Q, out=Q))
+        return LaplacianState(L, downdated_pinvs(self, [i], [j], [w])[0])
+
+
+def downdated_pinvs(state: LaplacianState, rows, cols, ws) -> np.ndarray:
+    """Stack of the state's pseudo-inverse after adding each link
+    (rows[b], cols[b], ws[b]) alone: the Sherman-Morrison downdates
+    P - c_b u_b u_b^T, u_b = P (e_i - e_j), c_b = (1/w_b + r_b)^-1.
+
+    The one place this downdate is written: with_edge carries row 0 of it
+    and every exact spectral score reads its spectrum, so a score is the
+    measure of the pseudo-inverse a pick's grown state holds.  A weight may
+    be inf: c_b is then 1/r_b, the infinite-coupling limit.
+    """
+    P = np.asarray(state.pinv)
+    U = (P[:, rows] - P[:, cols]).T
+    c = 1.0 / (1.0 / np.asarray(ws, dtype=float) + pair_form(P, rows, cols))
+    S = (U * c[:, None])[:, :, None] * U[:, None, :]
+    return np.subtract(P, S, out=S)
 
 
 def downdated_inverse_spectra(state: LaplacianState, rows, cols, ws) -> np.ndarray:
     """Nonzero pseudo-inverse eigenvalues, ascending, after adding each link
-    (rows[b], cols[b], ws[b]) alone: row b, from one stacked eigvalsh of the
-    downdates P - c_b u_b u_b^T.
-
-    A weight may be inf: the downdate coefficient (1/w + r_e)^-1 is then
-    1/r_e, the infinite-coupling limit.
-    """
-    P = np.asarray(state.pinv)
-    U = (P[:, rows] - P[:, cols]).T
-    link = np.arange(U.shape[0])
-    c = 1.0 / (1.0 / np.asarray(ws, dtype=float) + (U[link, rows] - U[link, cols]))
-    S = U[:, :, None] * U[:, None, :]
-    S *= c[:, None, None]
-    mus = np.linalg.eigvalsh(np.subtract(P, S, out=S))
+    alone: row b, from one stacked eigvalsh of :func:`downdated_pinvs`."""
+    mus = np.linalg.eigvalsh(downdated_pinvs(state, rows, cols, ws))
     return np.maximum(mus[:, 1:], 0.0)
 
 

@@ -544,14 +544,15 @@ def test_greedy_scores_only_links_whose_deepest_bound_ties_the_step_best(monkeyp
 def test_stacked_spectral_scores_equal_single_link_calls_bit_for_bit(monkeypatch):
     """A link's exact score does not depend on the links stacked with it, nor
     on the stack size, at extreme weights, on a grown state and at +inf; it
-    equals the per-link downdate P - c u u^T, one eigvalsh each."""
+    equals the per-link downdate P - c u u^T in with_edge's arithmetic, one
+    eigvalsh each."""
     from specgrow import synthesis
 
     def one_link(m, state, i, j, w):
         P = np.asarray(state.pinv)
         u = P[:, i] - P[:, j]
-        c = 1.0 / (1.0 / w + (u[i] - u[j]))
-        mus = np.maximum(np.linalg.eigvalsh(P - c * np.outer(u, u))[1:], 0.0)
+        c = 1.0 / (1.0 / w + (P[i, i] + P[j, j] - 2.0 * P[i, j]))
+        mus = np.maximum(np.linalg.eigvalsh(P - np.multiply.outer(u * c, u))[1:], 0.0)
         return float(sg.companion_value(m, mus[None], state.n)[0])
 
     rng = np.random.default_rng(179)
