@@ -628,41 +628,36 @@ def linearized(state: LaplacianState, candidates: CandidateSet, k: int,
     The first-order change of the measure from link e = {i, j} with weight w
     is w (grad_ii + grad_jj - 2 grad_ij) <= 0.  The gradient is computed once;
     each pick is then the lex-first change within the tie band of the
-    lowest one left, as greedy picks.  The closed forms value each pick
-    from carried resistances, as greedy does (:class:`_Resistances`); other
-    measures grow the state k - 1 times.
-    Gradient, selection and set-up time are attributed to the first step of
-    `elapsed`.
+    lowest one left, as greedy picks, and valued as greedy values it: the
+    closed forms from carried resistances (:class:`_Resistances`), other
+    measures by an exact score on a state grown k - 1 times.  Gradient and
+    set-up time go to the first step of `elapsed`.
     """
     _check_instance(state, candidates, k)
     t0 = perf_counter()
     links = candidates.arrays
     # First-order change w <G, L_e> of each link, G the measure's gradient.
     changes = links[2] * pair_form(gradient(m, state), *links[:2])
-    # Greedy's tie rule, pick by pick, on the first-order changes left.
-    order, remaining, tie_breaks = np.empty(k, dtype=int), np.arange(candidates.p), 0
-    for step in range(k):
-        pick, tie_breaks = _argmin_lex(changes[remaining])
-        order[step], remaining = remaining[pick], np.delete(remaining, pick)
     values = [evaluate(m, state)]
     form = _CLOSED_FORMS.get(m)
     carried = None if form is None else _Resistances(form, state, candidates, values[0])
-    select_time = perf_counter() - t0
+    remaining, chosen, elapsed, tie_breaks = np.arange(candidates.p), [], [], 0
 
-    elapsed = []
     for step in range(k):
-        t1 = perf_counter()
-        pick = order[step:step + 1]
+        # Greedy's tie rule on the first-order changes left.
+        pick, tie_breaks = _argmin_lex(changes[remaining])
+        link, remaining = remaining[pick:pick + 1], np.delete(remaining, pick)
         if carried is None:
-            values.append(float(_spectral_scores(m, state, *(a[pick] for a in links))[0]))
+            values.append(float(_spectral_scores(m, state, *(a[link] for a in links))[0]))
         else:
-            values.append(float(carried.scores(pick)[0]))
+            values.append(float(carried.scores(link)[0]))
+        chosen.append(candidates.links[link[0]])
         if step + 1 < k:
             if carried is None:
-                state = state.with_edge(*candidates.links[order[step]])
+                state = state.with_edge(*chosen[-1])
             else:
-                carried.add(order[step], values[-1])
-        elapsed.append(perf_counter() - t1 + (select_time if step == 0 else 0.0))
+                carried.add(link[0], values[-1])
+        elapsed.append(perf_counter() - t0)
+        t0 = perf_counter()
 
-    chosen = tuple(candidates.links[idx] for idx in order[:k])
-    return SynthesisResult("linear", chosen, tuple(values), tuple(elapsed), tie_breaks)
+    return SynthesisResult("linear", tuple(chosen), tuple(values), tuple(elapsed), tie_breaks)
