@@ -37,11 +37,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class LaplacianState:
     """Read-only spectral state of a connected weighted graph.
 
-    Construct with :func:`build_laplacian`; grow with :meth:`with_edge`,
-    which carries P.  Stores L and, once read, P; :attr:`graph` is derived
-    when asked for.  Instances never mutate user-visible data and may be
-    shared freely across threads (the lazy eigendecomposition and P are
-    idempotent caches).
+    Construct with :func:`build_laplacian`; grow with :meth:`with_edge`.
+    Instances never mutate user-visible data and may be shared freely across
+    threads (the lazy eigendecomposition and P are idempotent caches).
     """
 
     def __init__(self, matrix: np.ndarray, pinv: np.ndarray | None = None):
@@ -66,7 +64,13 @@ class LaplacianState:
     # --- spectrum (lazy after rank-one updates) ------------------------
 
     def _decompose(self) -> None:
+        """Raises IllConditioned unless lambda_2 clears the scale-aware zero
+        threshold n eps lambda_n, for a built or a grown state alike."""
         vals, vecs = np.linalg.eigh(np.asarray(self.matrix))
+        tol = self.n * np.finfo(float).eps * float(vals[-1])
+        if vals[1] <= tol:
+            raise IllConditioned(f"connected, but algebraic connectivity {vals[1]:.3e} "
+                                 f"is below the zero tolerance {tol:.3e}")
         vals[0] = 0.0
         self._eigvals = _freeze(vals)
         self._eigvecs = _freeze(vecs)
@@ -95,8 +99,6 @@ class LaplacianState:
     def pinv(self) -> np.ndarray:
         """The pseudo-inverse P, read-only, formed on first read."""
         if self._pinv is None:
-            # X X^T is one BLAS syrk: half the flops of V diag(1/lambda) V^T
-            # as a general product, and exactly symmetric.
             X = self.eigvecs[:, 1:] * self.nonzero_eigvals ** -0.5
             self._pinv = _freeze(X @ X.T)
         return self._pinv
@@ -125,12 +127,11 @@ class LaplacianState:
 def downdated_pinvs(state: LaplacianState, rows, cols, ws) -> np.ndarray:
     """Stack of the state's pseudo-inverse after adding each link
     (rows[b], cols[b], ws[b]) alone: the Sherman-Morrison downdates
-    P - c_b u_b u_b^T, u_b = P (e_i - e_j), c_b = (1/w_b + r_b)^-1.
+    P - c_b u_b u_b^T, u_b = P (e_i - e_j), c_b = (1/w_b + r_b)^-1 with r_b
+    the link's resistance; w_b = inf gives the infinite-coupling limit.
 
-    The one place this downdate is written: with_edge carries row 0 of it
-    and every exact spectral score reads its spectrum, so a score is the
-    measure of the pseudo-inverse a pick's grown state holds.  A weight may
-    be inf: c_b is then 1/r_b, the infinite-coupling limit.
+    with_edge carries row 0 and the exact scores read its spectrum, so a
+    score is the measure of the pseudo-inverse a pick's grown state holds.
     """
     P = np.asarray(state.pinv)
     U = (P[:, rows] - P[:, cols]).T
@@ -170,8 +171,8 @@ def build_laplacian(graph: WeightedGraph) -> LaplacianState:
         NotConnected: if the links leave more than one component (checked
             before any n x n allocation, and by link count alone before the
             union-find's n-entry list); its subclass IllConditioned if
-            they join every node but the second-smallest eigenvalue does
-            not clear the scale-aware zero threshold.
+            they join every node but lambda_2 is below the zero threshold
+            (see LaplacianState._decompose).
         GraphFormatError: above MAX_NODES nodes, or when twice the largest
             weighted degree, which bounds every eigenvalue (Gershgorin), is
             not finite; both before any n x n allocation.
@@ -184,9 +185,5 @@ def build_laplacian(graph: WeightedGraph) -> LaplacianState:
             raise GraphFormatError(f"twice the weighted degree of node {int(degrees.argmax())} "
                                    "overflows a float")
     state = LaplacianState(graph.laplacian())
-    vals = state.eigvals
-    tol = state.n * np.finfo(float).eps * float(vals[-1])  # scale-aware zero
-    if vals[1] <= tol:
-        raise IllConditioned(f"connected, but algebraic connectivity {vals[1]:.3e} "
-                             f"is below the zero tolerance {tol:.3e}")
+    state.eigvals  # decomposed now, so that an ill-conditioned graph is refused here
     return state

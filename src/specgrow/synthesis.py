@@ -5,23 +5,13 @@ candidate link set:
 
 * :func:`brute_force` - exhaustive search over all subsets, a stack of grown
   Laplacians per eigvalsh (the reference answer on small instances).
-* :func:`greedy` - picks the single best link k times.  For the zeta:q=1,
-  zeta:q=2, volume and mq:q=1 measures each candidate is scored in O(1) from
-  its weight and effective resistances, which greedy carries across picks
-  by rank-one updates of the p resistances alone (no grown state, no power
-  of the pseudo-inverse beyond the root's P); every other measure is scored
-  from the spectra of the rank-one-downdated pseudo-inverses, a stack per
-  eigvalsh, only where a per-step lower bound cannot rule the candidate
-  out; a bound is tightened only while it is the lowest one pending (see
-  :func:`greedy`).
+* :func:`greedy` - picks the single best link k times.  The zeta:q=1,
+  zeta:q=2, volume and mq:q=1 measures score each candidate in O(1) from
+  resistances carried across picks (:class:`_Resistances`); every other
+  measure scores exactly, from downdated pseudo-inverse spectra, only the
+  candidates that a lower bound cannot rule out (:func:`_pruned_scores`).
 * :func:`linearized` - one gradient of the measure, then the k candidates
-  with the largest first-order improvement, their values read as greedy
-  reads them (carried resistances for the closed forms).
-
-Every closed-form score starts from effective resistances under P, P^2
-and P^3 read off the state's spectrum by one function
-(:func:`_spectral_resistances`), for a candidate set and for
-:func:`closed_form_delta` alike; no power of P beyond P itself is formed.
+  with the largest first-order improvement, valued as greedy values them.
 
 All tie-breaking is deterministic and follows one rule: the pick is the
 lex-smallest candidate within 1e-12 relative of the minimum score
@@ -59,15 +49,9 @@ TIE_REL = 1e-12
 # was 5.5e-7 of the value, for mq:q=1 with links of weight 1e8 at n = 80-160,
 # before that measure moved to a closed form (which greedy does not prune).
 SLACK = 1e-6
-# Greedy's bound levels (see _pruned_scores): the diagonal, then pinchings
-# that couple the 32, 64, then 128 eigen-directions a link moves most (see
-# _pinched_bounds), up to the first that couples every direction, then the
-# exact score.  So graphs of at most 33 nodes get no pinching (one would cost
-# an exact score), 34-65 nodes get 32 and a full block, 66-129 nodes 32, 64
-# and a full block, larger graphs 32, 64 and 128.  A batch of the lowest
-# pending links is tightened, or scored, together, up to CHUNK * BLOCKS[0]
-# coupled directions in all: CHUNK links at the first level, fewer deeper,
-# one exact score after pinchings and CHUNK without.
+# Greedy's bound levels: the diagonal, then pinchings that couple the 32, 64,
+# then 128 eigen-directions a link moves most, then the exact score; a batch
+# holds up to CHUNK links at the first level (the walk: see _pruned_scores).
 # Over seeds 0-39, a grow-spectral-n300 solve (n = 300, p = 1,000, k = 2)
 # computes them for 40-91, 8-24 and 2-9 links (0.03, 0.09 and 0.35 ms a
 # link, against 2 ms for an exact score), then scores 2-4 links.  The 64
@@ -87,13 +71,8 @@ STACK = 32_768
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Distinct candidate links with fixed positive weights, kept edge-sorted.
-
-    Besides its link arrays, a set keeps, per state it is solved on, every
-    link's root resistances under P^1..P^3 (:meth:`_root_resistances`): the
-    closed-form solves on one state read them once, and the entry goes
-    when the state does.
-    """
+    """Distinct candidate links with fixed positive weights, kept edge-sorted,
+    with a memo of root resistances per state (:meth:`_root_resistances`)."""
 
     links: tuple[tuple[Edge, float], ...]
 
@@ -339,20 +318,26 @@ def _pruned_scores(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarra
     """Exact scores of the links idx that the lower bounds cannot rule out;
     the rest read inf.
 
-    A best-first walk over a heap of (bound, position, level) entries.  The
-    levels, built here from n, are widths: the diagonal bound (0), the
-    BLOCKS pinchings up to the first that couples every direction (none if
-    that is BLOCKS[0]), then the exact score, of width CHUNK * BLOCKS[0]
-    after pinchings and BLOCKS[0] without.  Every link starts with its
-    diagonal bound (skipped for at most CHUNK links).  While the lowest
-    pending bound is within the best score's cut, it and the entries after
-    it, lowest first while within the cut and of its kind (bound or exact),
-    form one batch until their widths would pass CHUNK * BLOCKS[0]; each
-    level of the batch gets its next bound, or its score, in one call.  A
-    link is scored only while its bound is the lowest pending and could
-    still tie the best score, and a bound is tightened only while it is
-    within the cut; the cut only falls, so the walk ends with every link
-    left unscored above it.
+    The levels, built here from n, are widths: the diagonal bound (0), the
+    BLOCKS pinchings (:func:`_pinched_bounds`) up to the first that couples
+    every direction, and the exact score (:func:`_spectral_scores`), of
+    width CHUNK * BLOCKS[0] after pinchings and BLOCKS[0] without.  So at
+    most 33 nodes get no pinching (one would cost an exact score), 34-65
+    nodes 32 and a full block, 66-129 nodes 32, 64 and a full block, more
+    nodes 32, 64 and 128; a grown state is decomposed only for its bounds.
+
+    The walk is best-first (lazy greedy, Minoux 1978) over a heap of
+    (bound, position, level) entries, each link starting at its diagonal
+    bound (-inf for at most CHUNK links).  While the lowest pending bound is
+    within the best score's :func:`_cut`, it and the entries after it,
+    lowest first while within the cut and of its kind (bound or exact),
+    form one batch until their widths would pass CHUNK * BLOCKS[0]: CHUNK
+    links at the first level, fewer deeper, one exact score after pinchings
+    and CHUNK without.  Each level of a batch gets its next bound, or its
+    score, in one call.  So a link is scored only while its bound is the
+    lowest pending and could still tie the best score; the cut only falls,
+    so the walk ends with every link left unscored above it, outside the
+    tie band.
     """
     short = sum(block < state.n - 1 for block in BLOCKS)
     widths = (0, *BLOCKS[:short + 1], CHUNK * BLOCKS[0]) if short else (0, BLOCKS[0])
@@ -405,10 +390,11 @@ class _Resistances:
     by sum_{s+t<q} g[q-1-s-t] y_s y_t, y_s = K_s[rows] - K_s[cols], and
     tr P^q by the same sum over the diagonal: O(p top^2) elementwise work
     after the top - 1 products with P that build K.  A product with P is
-    P0 x - U^T (c * U x), with P0 the root's pseudo-inverse and the rows of
-    U, c the u vectors and coefficients of the picks so far; once U holds
-    ceil(n/2) rows such a product costs what a dense one does, so the chain
-    is folded into P0 by one syrk, P0 - Y Y^T with Y = U^T sqrt(c).
+    P0 x - U^T (c * U x), with P0 the root's P (formed at the first pick
+    and kept by the root state) and the rows of U, c the u vectors and
+    coefficients of the picks so far; once U holds ceil(n/2) rows such a
+    product costs what a dense one does, so the chain is folded into P0
+    by one syrk, P0 - Y Y^T with Y = U^T sqrt(c).
     """
 
     def __init__(self, form: _ClosedForm, state: LaplacianState,
@@ -486,9 +472,16 @@ def _argmin_lex(scores) -> tuple[int, int]:
 
 
 def _check_instance(state: LaplacianState, candidates: CandidateSet, k: int) -> None:
+    """Raise unless every link fits the state, k lies in [0, p] and twice
+    (the largest weighted degree + the total candidate weight) is finite: it
+    bounds every grown state's eigenvalues (Gershgorin)."""
     candidates.validate_for(state.n)
     if not 0 <= k <= candidates.p:
         raise InvalidParameter(f"k must lie in [0, {candidates.p}], got {k}")
+    with np.errstate(over="ignore"):  # an overflowing sum reads inf, with no warning
+        total = float(candidates.arrays[2].sum())
+    if not 2.0 * (float(np.diag(state.matrix).max()) + total) < math.inf:
+        raise InvalidParameter("twice a degree plus the candidate weights overflows a float")
 
 
 # --- algorithms ---------------------------------------------------------------
@@ -498,41 +491,16 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
            m: MeasureSpec) -> SynthesisResult:
     """Add the best single link k times.
 
-    Closed-form measures grow no state: each candidate's resistances under
-    P^1..P^top are read off the root's spectrum, once per state and candidate
-    set for all closed-form solves (:meth:`CandidateSet._root_resistances`),
-    and, between picks, lowered elementwise by the pair form of the pick's
-    rank-one downdate (:class:`_Resistances`), so a pick costs top - 1
-    products of P with a vector plus O(p top^2) elementwise work.  The
-    root's P is formed at the first pick that needs it, by one syrk
-    (:attr:`LaplacianState.pinv`), and kept by the state.  Each step
-    scores all p candidates and gives the picked ones an infinite score; a
+    Each step applies the tie rule to the candidates left.  The closed forms
+    grow no state: a step scores all p candidates from carried resistances
+    (:class:`_Resistances`) and gives the picked ones an infinite score; a
     closed-form minimum is finite, so the tie rule sees exactly the
-    candidates left.
-    Every other measure updates the state rank-one between picks only: k - 1
-    updates in all.  Set-up time is attributed to the first step of `elapsed`.
-
-    Measures without a closed form are scored exactly only where a lower
-    bound on the post-addition value does not rule the candidate out.  In
-    the eigenbasis of L, adding w L_e adds w z z^T, z = V^T (e_i - e_j); the
-    spectrum of a pinching of Lambda + w z z^T is majorized by the true one,
-    and every measure is convex and symmetric in the spectrum, so its value
-    there is a lower bound (:func:`_pinched_bounds`).  The levels are the
-    diagonal pinching, lambda_k + w z_k^2, of every candidate, then those
-    that keep the BLOCKS directions with the largest z_k^2 coupled, up to
-    the first that couples every direction (a full block at 34-129 nodes;
-    none at most 33 nodes), then the exact score.  The step walks
-    best-first (:func:`_pruned_scores`): while the lowest pending bound is
-    at most best + (TIE_REL + SLACK) max(1, |best|), it and the next lowest
-    of its kind, bounds or exact scores, get their next level in one batch
-    of at most CHUNK * BLOCKS[0] coupled directions (an exact score counts
-    as all of them after pinchings, as BLOCKS[0] without); SLACK covers
-    the rounding between the bounds and the scores.  Every unscored
-    candidate then lies outside the tie band, so the tie rule, the picks,
-    the values and `tie_breaks` are those of scoring every candidate.
-    The bounds read the spectrum: one eigendecomposition per grown state,
-    none where there is no pinching.  Exact scores, also the full scan's,
-    come a stack of links per eigvalsh (:func:`_spectral_scores`).
+    candidates left.  Every other measure scores exactly only the links its
+    bounds cannot rule out (:func:`_pruned_scores`), every other one lies
+    outside the tie band, and the state is updated rank-one between picks
+    only: k - 1 updates in all.  So the picks, values and `tie_breaks` are
+    those of scoring every candidate left with the same scorer.  `elapsed`
+    holds each step's seconds, set-up time in the first.
     """
     _check_instance(state, candidates, k)
     t0 = perf_counter()

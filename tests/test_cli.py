@@ -287,15 +287,27 @@ def test_validate_transient_at_tiny_t(tmp_path):
     assert payload["closed_form"] == 3e-17 and payload["passed"], payload
 
 
-@pytest.mark.parametrize("n, edges, links, code", [
-    (3, [[0, 1, 1e308], [1, 2, 1e308]], None, 2),
-    (2, [[0, 1, 1.7e308]], None, 2),
-    (40, [[i, i + 1, 1.0] for i in range(39)],
-     [[0, 5, 1e308], [0, 9, 1e308], [3, 20, 1.0], [1, 30, 1.0]], 4),
-], ids=["measure-two-1e308", "measure-one-1.7e308", "grow-1e308-candidates"])
-def test_weights_that_overflow_the_laplacian_are_refused(tmp_path, n, edges, links, code):
-    """A graph whose doubled largest weighted degree overflows exits 2; a pick
-    that would make it overflow exits 4; each with one error line."""
+def _path(n):
+    return [[i, i + 1, 1.0] for i in range(n - 1)]
+
+
+_HUGE_CANDIDATES = [(6, [[0, 3, 1e308]]), (40, [[0, 5, 1e308], [0, 9, 1e308]])]
+
+
+@pytest.mark.parametrize("n, edges, links, grow, code", [
+    (3, [[0, 1, 1e308], [1, 2, 1e308]], None, None, 2),
+    (2, [[0, 1, 1.7e308]], None, None, 2),
+    (40, _path(40), [[0, 5, 1e308], [0, 9, 1e308], [3, 20, 1.0], [1, 30, 1.0]], ["-k", "3"], 4),
+    *[(n, _path(n), links, ["-k", "1", "--algo", algo], 4)
+      for n, links in _HUGE_CANDIDATES for algo in ("greedy", "linear", "brute")],
+], ids=["measure-two-1e308", "measure-one-1.7e308", "grow-1e308-candidates",
+        *[f"grow-k1-n{n}-{algo}" for n, _ in _HUGE_CANDIDATES
+          for algo in ("greedy", "linear", "brute")]])
+def test_weights_that_overflow_the_laplacian_are_refused(tmp_path, n, edges, links, grow, code):
+    """A graph whose doubled largest weighted degree overflows exits 2; a
+    candidate set that could make a grown one overflow exits 4 before any
+    solver runs, also at k = 1 and for exhaustive search; each prints one
+    error line and nothing else."""
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps({"n": n, "edges": edges}))
     if links is None:
@@ -303,8 +315,8 @@ def test_weights_that_overflow_the_laplacian_are_refused(tmp_path, n, edges, lin
     else:
         cands = tmp_path / "c.json"
         cands.write_text(json.dumps({"links": links}))
-        out = run_cli("grow", str(gpath), str(cands), "--measure", "tau:t=1", "-k", "3")
+        out = run_cli("grow", str(gpath), str(cands), "--measure", "tau:t=1", *grow)
     assert out.returncode == code, out.stdout + out.stderr
-    assert out.stdout == "" and "Traceback" not in out.stderr
-    assert [line for line in out.stderr.splitlines() if line.startswith("error:")] == \
-        [out.stderr.splitlines()[-1]], out.stderr
+    assert out.stdout == ""
+    [line] = out.stderr.splitlines()
+    assert line.startswith("error:") and "overflows" in line, out.stderr

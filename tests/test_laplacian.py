@@ -187,6 +187,17 @@ def test_weights_that_overflow_twice_a_degree_are_refused():
     s.with_edge((0, 1), 8e306)
 
 
+def test_grown_states_that_cannot_resolve_lambda_2_are_ill_conditioned():
+    """A grown state is held to the zero threshold of a built one: beside a
+    1e16 link on a 40-node path, lambda_2 reads IllConditioned either way."""
+    g = path_graph(40)
+    grown = sg.build_laplacian(g).with_edge((0, 39), 1e16)
+    with pytest.raises(sg.IllConditioned, match="algebraic connectivity .* tolerance"):
+        grown.eigvals
+    with pytest.raises(sg.IllConditioned, match="algebraic connectivity .* tolerance"):
+        sg.build_laplacian(g.with_edge((0, 39), 1e16))
+
+
 def test_with_edge_rejects_links_outside_the_graph():
     """Node ids outside [0, n) raise GraphFormatError, as read_links does:
     -1 is not wrapped to the last node."""

@@ -582,6 +582,47 @@ def test_stacked_spectral_scores_equal_single_link_calls_bit_for_bit(monkeypatch
     assert infinite  # gamma just above its threshold, at 1e-8 weights
 
 
+def test_reported_spectral_values_are_the_measure_of_the_grown_pseudo_inverse():
+    """Greedy and linearized report, for each spectral pick, the measure of
+    the pseudo-inverse that the state grown by that pick carries, to the
+    last bit: the exact scores and with_edge share one downdate."""
+    from specgrow import synthesis
+    rng = np.random.default_rng(211)
+    checked = 0
+    for _ in range(8):
+        n = int(rng.integers(5, 40))
+        root = sg.build_laplacian(random_connected(rng, n))
+        c = random_candidates(rng, n, 12)
+        for m in kind_suite(root):
+            if m in synthesis._CLOSED_FORMS:
+                continue
+            solvers = (sg.greedy, sg.linearized) if m.differentiable else (sg.greedy,)
+            for solver in solvers:
+                result = solver(root, c, 4, m)
+                state = root
+                for edge_weight, value in zip(result.chosen, result.values[1:]):
+                    state = state.with_edge(*edge_weight)
+                    mus = np.maximum(np.linalg.eigvalsh(state.pinv)[1:], 0.0)
+                    expected = float(sg.companion_value(m, mus[None], n)[0])
+                    assert repr(value) == repr(expected), (n, m.label, solver.__name__)
+                    checked += 1
+    assert checked == 288
+
+
+def test_greedy_beside_an_unresolvable_link_is_ill_conditioned():
+    """Greedy beside a 1e16 candidate grows a state whose lambda_2 its
+    eigendecomposition cannot resolve: IllConditioned, as a fresh build of
+    that graph raises, not a measure's parameter error."""
+    rng = np.random.default_rng(5)
+    n = int(rng.integers(40, 81))
+    s = sg.build_laplacian(random_connected(rng, n))
+    c = random_candidates(rng, n, 40)
+    c = sg.CandidateSet.from_triples([(i, j, w * (1e16 if b % 7 == 0 else 1.0))
+                                      for b, ((i, j), w) in enumerate(c.links)])
+    with pytest.raises(sg.IllConditioned):
+        sg.greedy(s, c, 3, sg.parse_measure("tau:t=1"))
+
+
 def test_small_graph_greedy_scores_each_step_in_one_stacked_call(monkeypatch):
     """Where the first pinching would couple every eigen-direction, greedy
     computes no pinched bound and scores each step's links in one call."""
