@@ -480,7 +480,7 @@ def _check_instance(state: LaplacianState, candidates: CandidateSet, k: int) -> 
         raise InvalidParameter(f"k must lie in [0, {candidates.p}], got {k}")
     with np.errstate(over="ignore"):  # an overflowing sum reads inf, with no warning
         total = float(candidates.arrays[2].sum())
-    if not 2.0 * (float(np.diag(state.matrix).max()) + total) < math.inf:
+    if not 2.0 * (float(state.matrix.diagonal().max()) + total) < math.inf:
         raise InvalidParameter("twice a degree plus the candidate weights overflows a float")
 
 
@@ -614,17 +614,17 @@ def linearized(state: LaplacianState, candidates: CandidateSet, k: int,
     for step in range(k):
         # Greedy's tie rule on the first-order changes left.
         pick, tie_breaks = _argmin_lex(changes[remaining])
-        link, remaining = remaining[pick:pick + 1], np.delete(remaining, pick)
+        link, remaining = int(remaining[pick]), np.delete(remaining, pick)
         if carried is None:
-            values.append(float(_spectral_scores(m, state, *(a[link] for a in links))[0]))
+            values.append(float(_spectral_scores(m, state, *(a[[link]] for a in links))[0]))
         else:
-            values.append(float(carried.scores(link)[0]))
-        chosen.append(candidates.links[link[0]])
+            values.append(float(carried.scores([link])[0]))
+        chosen.append(candidates.links[link])
         if step + 1 < k:
             if carried is None:
                 state = state.with_edge(*chosen[-1])
             else:
-                carried.add(link[0], values[-1])
+                carried.add(link, values[-1])
         elapsed.append(perf_counter() - t0)
         t0 = perf_counter()
 
