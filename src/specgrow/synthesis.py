@@ -4,7 +4,10 @@ Three algorithms minimize a performance measure over size-k subsets of a
 candidate link set:
 
 * :func:`brute_force` - exhaustive search over all subsets, a stack of grown
-  Laplacians per eigvalsh (the reference answer on small instances).
+  Laplacians per eigvalsh (the reference answer on small instances).  A
+  search that fits one stack keeps its spectra with the candidate set
+  (:class:`CandidateSet`), so a later one on that state and k, for any
+  measure, calls no LAPACK routine.
 * :func:`greedy` - picks the single best link k times.  The zeta:q=1,
   zeta:q=2, volume and mq:q=1 measures score each candidate in O(1) from
   resistances carried across picks (:class:`_Resistances`); every other
@@ -27,9 +30,9 @@ from __future__ import annotations
 import heapq
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from time import perf_counter
 from typing import Callable, Iterable, NamedTuple
 
@@ -69,10 +72,23 @@ ROWS = 128
 STACK = 32_768
 
 
+@dataclass
+class _StateRecord:
+    """One state's entry in a candidate set's memo (:class:`CandidateSet`)."""
+
+    resistances: np.ndarray | None = None                                     # (3, p)
+    spectra: dict[int, tuple[np.ndarray, ...]] = field(default_factory=dict)  # by k
+
+
 @dataclass(frozen=True)
 class CandidateSet:
-    """Distinct candidate links with fixed positive weights, kept edge-sorted,
-    with a memo of root resistances per state (:meth:`_root_resistances`)."""
+    """Distinct candidate links with fixed positive weights, kept edge-sorted.
+
+    Its memo keeps one record per state, dropped with the state: the links'
+    root resistances (:meth:`_root_resistances`) and, for each k whose
+    subsets of sizes 0..k fit in one stack (sum_t C(p, t) <= STACK // n^2),
+    the spectra of all those subsets (:meth:`_subset_spectra`).
+    """
 
     links: tuple[tuple[Edge, float], ...]
 
@@ -97,24 +113,46 @@ class CandidateSet:
 
     @cached_property
     def _memo(self) -> weakref.WeakKeyDictionary:
-        """Root resistances by state (see _root_resistances), each entry
-        dropped when its state is."""
+        """A :class:`_StateRecord` by state.  Its arrays are read-only and
+        built at the first read; threads that race to build one store equal
+        arrays."""
         return weakref.WeakKeyDictionary()
 
     def __getstate__(self):  # the memo's weak references do not pickle
         return {key: v for key, v in self.__dict__.items() if key != "_memo"}
 
+    def _record(self, state: LaplacianState) -> _StateRecord:
+        record = self._memo.get(state)
+        if record is None:
+            record = self._memo.setdefault(state, _StateRecord())
+        return record
+
     def _root_resistances(self, state: LaplacianState) -> np.ndarray:
         """Read-only (3, p) array: every link's resistances under the state's
         P^1..P^3 (:func:`_spectral_resistances`).  Built once per state, all
-        rows at once, and shared by every closed-form solve on that state;
-        threads that race to build it store equal arrays."""
-        R = self._memo.get(state)
-        if R is None:
+        rows at once, and shared by every closed-form solve on that state."""
+        record = self._record(state)
+        if record.resistances is None:
             R = _spectral_resistances(state, *self.arrays[:2])
             R.setflags(write=False)
-            self._memo[state] = R
-        return R
+            record.resistances = R
+        return record.resistances
+
+    def _subset_spectra(self, state: LaplacianState, k: int) -> tuple[np.ndarray, ...]:
+        """Entry t, t = 0..k: the read-only (C(p, t), n) eigvalsh spectra of
+        the state grown by each size-t subset, in lex order
+        (:func:`_grown_spectra`).  Built once per state and k, by one stacked
+        eigvalsh, and shared by every brute-force search on them."""
+        record = self._record(state)
+        if k not in record.spectra:
+            counts = [math.comb(self.p, t) for t in range(k + 1)]
+            S = np.array([s + (0,) * (k - len(s)) for t in range(k + 1)
+                          for s in combinations(range(self.p), t)], dtype=int)
+            S = S.reshape(sum(counts), k)
+            spectra = _grown_spectra(state, self.arrays, S, np.repeat(np.arange(k + 1), counts))
+            spectra.setflags(write=False)
+            record.spectra[k] = tuple(np.split(spectra, np.cumsum(counts)[:-1]))
+        return record.spectra[k]
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[int, int, float]]) -> CandidateSet:
@@ -539,50 +577,73 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
     return SynthesisResult("greedy", tuple(chosen), tuple(values), tuple(elapsed), tie_breaks)
 
 
-def _grown_values(m: MeasureSpec, state: LaplacianState, rows, cols, ws) -> np.ndarray:
-    """Measure value after adding the links (rows[b, t], cols[b, t], ws[b, t]),
-    t = 0, 1, ..., to L, for each row b, by one stacked eigvalsh.  Each link
-    makes add_link's four additions, in link order, through one unbuffered
-    flat np.add.at, so a row's value does not depend on the rows stacked
-    with it; a zero weight adds nothing."""
+def _grown_spectra(state: LaplacianState, links: tuple[np.ndarray, ...], S: np.ndarray,
+                   sizes) -> np.ndarray:
+    """eigvalsh spectrum of L grown by the first sizes[b] links of row b of S
+    (one size for all rows if sizes is a number), for each row b, by one
+    stacked eigvalsh; the row's other links are added at weight zero, which
+    adds nothing.  Each link makes add_link's four additions, in link order,
+    through one unbuffered flat np.add.at, so a row's spectrum does not
+    depend on the rows stacked with it."""
     n = state.n
-    L = np.repeat(np.asarray(state.matrix)[None], len(rows), axis=0)
+    rows, cols, ws = (a[S] for a in links)
+    ws = np.where(np.arange(S.shape[1]) < np.reshape(sizes, (-1, 1)), ws, 0.0)
+    L = np.repeat(np.asarray(state.matrix)[None], len(S), axis=0)
     # Flat offsets of (i, i), (j, j), (i, j) and (j, i) in row b's matrix.
     at = np.stack([rows * (n + 1), cols * (n + 1), rows * n + cols, cols * n + rows], axis=-1)
-    at += (np.arange(len(rows)) * n * n)[:, None, None]
+    at += (np.arange(len(S)) * n * n)[:, None, None]
     np.add.at(L.reshape(-1), at.ravel(), np.stack([ws, ws, -ws, -ws], axis=-1).ravel())
-    return spectral_value(m, np.linalg.eigvalsh(L)[:, 1:], n)
+    return np.linalg.eigvalsh(L)
+
+
+def _lex_rank(subset: tuple[int, ...], p: int) -> int:
+    """Position of a sorted subset in combinations(range(p), len(subset))."""
+    t = len(subset)
+    return math.comb(p, t) - 1 - sum(math.comb(p - 1 - c, t - i) for i, c in enumerate(subset))
 
 
 def brute_force(state: LaplacianState, candidates: CandidateSet, k: int,
                 m: MeasureSpec, cap: int = 2_000_000) -> SynthesisResult:
     """Global minimizer over all (p choose k) subsets by full recomputation.
 
-    The subsets stream in lex order, each stack of STACK entries valued by
-    one eigvalsh of its grown Laplacians; the best subset's prefixes take
-    one more.  All time is attributed to the first step of `elapsed`.
+    Each subset is valued at the eigvalsh spectrum of its grown Laplacian
+    (:func:`_grown_spectra`), STACK entries per call.  When every subset of
+    sizes 0..k fits in one stack, the spectra are those the candidate set
+    keeps for the state and k (:meth:`CandidateSet._subset_spectra`), and
+    the best subset's prefixes are read off them; otherwise the size-k
+    subsets stream in lex order, keeping nothing, and the prefixes take one
+    more stack.  All time is attributed to the first step of `elapsed`.
     """
     _check_instance(state, candidates, k)
-    n_subsets = math.comb(candidates.p, k)
+    n, p = state.n, candidates.p
+    n_subsets = math.comb(p, k)
     if n_subsets > cap:
         raise CombinatorialBlowup(f"{n_subsets} subsets exceed the cap of {cap}")
 
     t0 = perf_counter()
     links = candidates.arrays
-    size, scores = max(1, STACK // state.n ** 2), np.empty(n_subsets)
-    subsets = combinations(range(candidates.p), k)
-    for start in range(0, n_subsets, size):
-        chunk = list(islice(subsets, size))
-        S = np.array(chunk, dtype=int).reshape(len(chunk), k)
-        scores[start:start + len(S)] = _grown_values(m, state, *(a[S] for a in links))
+    size = max(1, STACK // n ** 2)
+    if all(total <= size for total in accumulate(math.comb(p, t) for t in range(k + 1))):
+        spectra = candidates._subset_spectra(state, k)
+        scores = spectral_value(m, spectra[k][:, 1:], n)
+    else:
+        spectra, scores = None, np.empty(n_subsets)
+        subsets = combinations(range(p), k)
+        for start in range(0, n_subsets, size):
+            chunk = list(islice(subsets, size))
+            S = np.array(chunk, dtype=int).reshape(len(chunk), k)
+            scores[start:start + len(S)] = spectral_value(
+                m, _grown_spectra(state, links, S, k)[:, 1:], n)
     pick, ties = _argmin_lex(scores)
-    best = list(next(islice(combinations(range(candidates.p), k), pick, None)))
-    # Row t of the prefix stack adds the best subset's first t + 1 links
-    # (k x k, also for k = 0).
-    S = np.array([best] * k, dtype=int).reshape(k, k)
-    rows, cols, ws = (a[S] for a in links)
-    prefixes = _grown_values(m, state, rows, cols, np.where(np.tri(k, dtype=bool), ws, 0.0))
-    values = [evaluate(m, state), *prefixes.tolist()]
+    best = next(islice(combinations(range(p), k), pick, None))
+    # Row t - 1 of the prefix stack: the best subset's first t links, t = 1..k.
+    if spectra is None:
+        prefixes = _grown_spectra(state, links, np.array([best] * k, dtype=int).reshape(k, k),
+                                  np.arange(1, k + 1))
+    else:
+        prefixes = np.array([spectra[t][_lex_rank(best[:t], p)]
+                             for t in range(1, k + 1)]).reshape(k, n)
+    values = [evaluate(m, state), *spectral_value(m, prefixes[:, 1:], n).tolist()]
     elapsed = ([perf_counter() - t0] + [0.0] * (k - 1))[:k]
 
     chosen = tuple(candidates.links[i] for i in best)

@@ -690,7 +690,8 @@ def test_greedy_walk_levels_by_graph_size(monkeypatch):
 
 def test_brute_force_equals_the_per_subset_loop_bit_for_bit(monkeypatch):
     """Stacked subset values against one add_link loop and eigvalsh per
-    subset; streaming in stacks of three changes nothing."""
+    subset; streaming in stacks of three, on a fresh candidate set, changes
+    nothing and keeps no subset spectra."""
     from specgrow import synthesis
     from specgrow.graphs import add_link
 
@@ -717,11 +718,13 @@ def test_brute_force_equals_the_per_subset_loop_bit_for_bit(monkeypatch):
                 assert (res.chosen, res.tie_breaks) == (subsets[pick], ties), (m.label, k)
                 prefixes = loop_values(m, s, [res.chosen[:t] for t in range(1, k + 1)])
                 assert repr(res.values[1:]) == repr(tuple(prefixes)), (m.label, k)
+                fresh = sg.CandidateSet(c.links)
                 with monkeypatch.context() as patch:  # three subsets a stack
                     patch.setattr(synthesis, "STACK", 3 * n * n)
-                    chunked = sg.brute_force(s, c, k, m)
+                    chunked = sg.brute_force(s, fresh, k, m)
                 assert (repr(chunked.chosen), repr(chunked.values), chunked.tie_breaks) == \
                     (repr(res.chosen), repr(res.values), res.tie_breaks), (m.label, k)
+                assert len(fresh._memo) == 0, (m.label, k)
 
 
 def test_pinched_bounds_lie_below_the_scores_and_tighten_with_the_block():
@@ -941,6 +944,56 @@ def test_closed_form_runs_do_not_depend_on_solve_order():
             del s
             gc.collect()
             assert len(c._memo) == 0, (scale, solver.__name__)
+
+
+def test_brute_force_runs_do_not_depend_on_solve_order(monkeypatch):
+    """A brute-force search whose subsets of sizes 0..k fit one stack keeps
+    their spectra for its state and k; a search for any measure after it
+    calls no LAPACK routine and equals one on a cold state and set.  The
+    kept spectra are read-only, left out of a pickle and go with their state."""
+    import gc
+    import pickle
+    calls = []
+
+    def counting(name):
+        routine = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return routine(*args, **kwargs)
+        return counted
+
+    rng = np.random.default_rng(223)
+    for scale in (1e-8, 1.0, 1e8):
+        n = int(rng.integers(5, 13))
+        g = random_connected(rng, n)
+        triples = [(i, j, scale * w) for (i, j), w in random_candidates(rng, n, 7).links]
+        s, c = sg.build_laplacian(g), sg.CandidateSet.from_triples(triples)
+        suite = kind_suite(s)
+        for k in (0, 1, 2, 3):
+            sg.brute_force(s, c, k, suite[-1])
+            for m in suite:
+                with monkeypatch.context() as patch:
+                    for name in ("eigvalsh", "eigh"):
+                        patch.setattr(np.linalg, name, counting(name))
+                    calls.clear()
+                    warm = sg.brute_force(s, c, k, m)
+                    assert calls == [], (scale, k, m.label)
+                cold = sg.brute_force(sg.build_laplacian(g), sg.CandidateSet.from_triples(triples),
+                                      k, m)
+                assert (repr(warm.chosen), repr(warm.values), warm.tie_breaks) == \
+                    (repr(cold.chosen), repr(cold.values), cold.tie_breaks), (scale, k, m.label)
+            spectra = c._subset_spectra(s, k)
+            assert c._subset_spectra(s, k) is spectra
+            assert [len(a) for a in spectra] == [math.comb(c.p, t) for t in range(k + 1)]
+            for a in spectra:
+                with pytest.raises(ValueError):
+                    a[0, 0] = 0.0
+        assert len(c._memo) == 1
+        assert pickle.loads(pickle.dumps(c)) == c  # the memo is left out
+        del s
+        gc.collect()
+        assert len(c._memo) == 0, scale
 
 
 def test_linearized_trajectory_matches_rebuild():
