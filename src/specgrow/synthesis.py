@@ -6,13 +6,17 @@ candidate link set:
 * :func:`brute_force` - exhaustive search over all subsets, a stack of grown
   Laplacians per eigvalsh (the reference answer on small instances).  A
   search that fits one stack keeps its spectra with the candidate set
-  (:class:`CandidateSet`), so a later one on that state and k, for any
-  measure, calls no LAPACK routine.
+  (:class:`CandidateSet`), so a later one on that state and any k up to
+  it, for any measure, calls no LAPACK routine.
 * :func:`greedy` - picks the single best link k times.  The zeta:q=1,
   zeta:q=2, volume and mq:q=1 measures score each candidate in O(1) from
   resistances carried across picks (:class:`_Resistances`); every other
   measure scores exactly, from downdated pseudo-inverse spectra, only the
   candidates that a lower bound cannot rule out (:func:`_pruned_scores`).
+  On a small state, where one stacked call scores every link left
+  (:meth:`CandidateSet._keeps_steps`), the candidate set keeps each state's
+  single-link spectra and grown states, so a later greedy or linearized
+  solve over the same path, for any measure, calls no LAPACK routine.
 * :func:`linearized` - one gradient of the measure, then the k candidates
   with the largest first-order improvement, valued as greedy values them.
 
@@ -74,10 +78,23 @@ STACK = 32_768
 
 @dataclass
 class _StateRecord:
-    """One state's entry in a candidate set's memo (:class:`CandidateSet`)."""
+    """One state's entry in a candidate set's memo (:class:`CandidateSet`),
+    each field filled at its first read.
 
-    resistances: np.ndarray | None = None                                     # (3, p)
-    spectra: dict[int, tuple[np.ndarray, ...]] = field(default_factory=dict)  # by k
+    `resistances` serve the closed-form solves; `spectra`, by subset size
+    0..the largest k searched in one stack, serve brute force.  Only where
+    a greedy step scores every link left in one stacked call (no pinching
+    level, n - 1 <= BLOCKS[0], and p <= CHUNK: :meth:`CandidateSet._keeps_steps`)
+    are `singles` (each link's inverse spectrum after adding it alone) and
+    `grown` (the state grown by each link picked from this one) kept.  The
+    record holds its grown states strongly and nothing holds its own state,
+    so grown states, and their own records, go with their root.
+    """
+
+    resistances: np.ndarray | None = None                            # (3, p)
+    spectra: tuple[np.ndarray, ...] = ()                             # by subset size
+    singles: dict[int, np.ndarray] = field(default_factory=dict)     # (n - 1,) by link
+    grown: dict[int, LaplacianState] = field(default_factory=dict)   # by picked link
 
 
 @dataclass(frozen=True)
@@ -85,9 +102,14 @@ class CandidateSet:
     """Distinct candidate links with fixed positive weights, kept edge-sorted.
 
     Its memo keeps one record per state, dropped with the state: the links'
-    root resistances (:meth:`_root_resistances`) and, for each k whose
+    root resistances (:meth:`_root_resistances`); for the largest k whose
     subsets of sizes 0..k fit in one stack (sum_t C(p, t) <= STACK // n^2),
-    the spectra of all those subsets (:meth:`_subset_spectra`).
+    the spectra of all those subsets (:meth:`_subset_spectra`); and, where a
+    greedy step scores every link left in one stacked call
+    (:meth:`_keeps_steps`), each link's single-link inverse spectrum
+    (:meth:`_single_spectra`) and the state grown by each link picked from
+    it (:meth:`_grown`).  So solves on a path visited before, for any
+    measure, by greedy or linearized, call no LAPACK routine and grow no state.
     """
 
     links: tuple[tuple[Edge, float], ...]
@@ -141,18 +163,57 @@ class CandidateSet:
     def _subset_spectra(self, state: LaplacianState, k: int) -> tuple[np.ndarray, ...]:
         """Entry t, t = 0..k: the read-only (C(p, t), n) eigvalsh spectra of
         the state grown by each size-t subset, in lex order
-        (:func:`_grown_spectra`).  Built once per state and k, by one stacked
-        eigvalsh, and shared by every brute-force search on them."""
+        (:func:`_grown_spectra`), shared by every brute-force search on the
+        state.  One entry per state, for the largest k searched, serves every
+        smaller k: a size-t row's padding links add at weight zero, so its
+        bits do not depend on k.  A larger k stacks only the sizes missing."""
         record = self._record(state)
-        if k not in record.spectra:
-            counts = [math.comb(self.p, t) for t in range(k + 1)]
-            S = np.array([s + (0,) * (k - len(s)) for t in range(k + 1)
+        kept = record.spectra
+        if len(kept) <= k:
+            sizes = range(len(kept), k + 1)
+            counts = [math.comb(self.p, t) for t in sizes]
+            S = np.array([s + (0,) * (k - len(s)) for t in sizes
                           for s in combinations(range(self.p), t)], dtype=int)
             S = S.reshape(sum(counts), k)
-            spectra = _grown_spectra(state, self.arrays, S, np.repeat(np.arange(k + 1), counts))
+            spectra = _grown_spectra(state, self.arrays, S, np.repeat(sizes, counts))
             spectra.setflags(write=False)
-            record.spectra[k] = tuple(np.split(spectra, np.cumsum(counts)[:-1]))
-        return record.spectra[k]
+            kept += tuple(np.split(spectra, np.cumsum(counts)[:-1]))
+            record.spectra = kept
+        return kept[:k + 1]
+
+    def _keeps_steps(self, state: LaplacianState) -> bool:
+        """Whether a greedy step on the state scores every link left in one
+        stacked exact call: no pinching level (n - 1 <= BLOCKS[0]) and at most
+        CHUNK links (see :func:`_pruned_scores`).  Only there does the memo
+        keep single-link spectra and grown states."""
+        return state.n - 1 <= BLOCKS[0] and self.p <= CHUNK
+
+    def _single_spectra(self, state: LaplacianState, links: list[int]) -> np.ndarray:
+        """(len(links), n - 1) array: row b is the state's nonzero inverse
+        spectrum after adding link links[b] alone
+        (:func:`downdated_inverse_spectra`).  Where :meth:`_keeps_steps`
+        holds, each link's row is computed once per state and kept
+        read-only, the rows missing by one stacked call (a row does not
+        depend on the rows stacked with it); elsewhere all are computed afresh."""
+        if not self._keeps_steps(state):
+            return downdated_inverse_spectra(state, *(a[links] for a in self.arrays))
+        rows = self._record(state).singles
+        missing = [link for link in links if link not in rows]
+        if missing:
+            spectra = downdated_inverse_spectra(state, *(a[missing] for a in self.arrays))
+            spectra.setflags(write=False)
+            rows.update(zip(missing, spectra))
+        return np.array([rows[link] for link in links])
+
+    def _grown(self, state: LaplacianState, link: int) -> LaplacianState:
+        """The state grown by link (with_edge): kept in the state's record,
+        built once, where :meth:`_keeps_steps` holds; built afresh elsewhere."""
+        if not self._keeps_steps(state):
+            return state.with_edge(*self.links[link])
+        grown = self._record(state).grown
+        if link not in grown:
+            grown.setdefault(link, state.with_edge(*self.links[link]))
+        return grown[link]
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[int, int, float]]) -> CandidateSet:
@@ -537,8 +598,12 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
     bounds cannot rule out (:func:`_pruned_scores`), every other one lies
     outside the tie band, and the state is updated rank-one between picks
     only: k - 1 updates in all.  So the picks, values and `tie_breaks` are
-    those of scoring every candidate left with the same scorer.  `elapsed`
-    holds each step's seconds, set-up time in the first.
+    those of scoring every candidate left with the same scorer.  On a small
+    state (:meth:`CandidateSet._keeps_steps`) no bound is computed; the
+    scores read the rows of the kept single-link spectra, and the updates
+    are the kept grown states (:meth:`CandidateSet._grown`), each built once
+    per candidate set.  `elapsed` holds each step's seconds, set-up time in
+    the first.
     """
     _check_instance(state, candidates, k)
     t0 = perf_counter()
@@ -546,7 +611,8 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
     form = _CLOSED_FORMS.get(m)
     values = [evaluate(m, state)]
     carried = None if form is None else _Resistances(form, state, candidates, values[0])
-    remaining = np.arange(candidates.p)  # unpicked links, for the pruned scores
+    kept = candidates._keeps_steps(state)
+    remaining = np.arange(candidates.p)  # unpicked links, for the exact scores
     picked: list[int] = []
     chosen: list[tuple[Edge, float]] = []
     elapsed: list[float] = []
@@ -554,7 +620,11 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
 
     for step in range(k):
         if carried is None:
-            scores = _pruned_scores(m, state, links, remaining)
+            if kept:
+                spectra = candidates._single_spectra(state, remaining.tolist())
+                scores = companion_value(m, spectra, state.n)
+            else:
+                scores = _pruned_scores(m, state, links, remaining)
             pick, ties = _argmin_lex(scores)
             link, remaining = int(remaining[pick]), np.delete(remaining, pick)
         else:  # closed-form minima are finite, so an inf score is never picked
@@ -567,7 +637,7 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
         chosen.append(candidates.links[link])
         if step + 1 < k:
             if carried is None:
-                state = state.with_edge(*chosen[-1])
+                state = candidates._grown(state, link)
             else:
                 carried.add(link, float(scores[pick]))
         values.append(float(scores[pick]))
@@ -659,8 +729,10 @@ def linearized(state: LaplacianState, candidates: CandidateSet, k: int,
     each pick is then the lex-first change within the tie band of the
     lowest one left, as greedy picks, and valued as greedy values it: the
     closed forms from carried resistances (:class:`_Resistances`), other
-    measures by an exact score on a state grown k - 1 times.  Gradient and
-    set-up time go to the first step of `elapsed`.
+    measures by an exact score on a state grown k - 1 times, read from the
+    kept single-link spectra and grown states on a small state
+    (:meth:`CandidateSet._keeps_steps`).  Gradient and set-up time go to
+    the first step of `elapsed`.
     """
     _check_instance(state, candidates, k)
     t0 = perf_counter()
@@ -677,13 +749,14 @@ def linearized(state: LaplacianState, candidates: CandidateSet, k: int,
         pick, tie_breaks = _argmin_lex(changes[remaining])
         link, remaining = int(remaining[pick]), np.delete(remaining, pick)
         if carried is None:
-            values.append(float(_spectral_scores(m, state, *(a[[link]] for a in links))[0]))
+            spectra = candidates._single_spectra(state, [link])
+            values.append(float(companion_value(m, spectra, state.n)[0]))
         else:
             values.append(float(carried.scores([link])[0]))
         chosen.append(candidates.links[link])
         if step + 1 < k:
             if carried is None:
-                state = state.with_edge(*chosen[-1])
+                state = candidates._grown(state, link)
             else:
                 carried.add(link, values[-1])
         elapsed.append(perf_counter() - t0)

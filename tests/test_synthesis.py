@@ -625,20 +625,21 @@ def test_greedy_beside_an_unresolvable_link_is_ill_conditioned():
 
 def test_small_graph_greedy_scores_each_step_in_one_stacked_call(monkeypatch):
     """Where the first pinching would couple every eigen-direction, greedy
-    computes no pinched bound and scores each step's links in one call."""
+    computes no pinched bound and, on a fresh candidate set, scores each
+    step's links in one stacked call."""
     from specgrow import synthesis
     sizes = []
-    spectral_scores = synthesis._spectral_scores
+    inverse_spectra = synthesis.downdated_inverse_spectra
 
     def no_bounds(*args):
         raise AssertionError("no pinched bound expected")
 
-    def counting_scores(m, state, rows, cols, ws):
+    def counting_spectra(state, rows, cols, ws):
         sizes.append(len(rows))
-        return spectral_scores(m, state, rows, cols, ws)
+        return inverse_spectra(state, rows, cols, ws)
 
     monkeypatch.setattr(synthesis, "_pinched_bounds", no_bounds)
-    monkeypatch.setattr(synthesis, "_spectral_scores", counting_scores)
+    monkeypatch.setattr(synthesis, "downdated_inverse_spectra", counting_spectra)
     rng = np.random.default_rng(181)
     for _ in range(4):
         n, p = int(rng.integers(5, 13)), int(rng.integers(3, 9))
@@ -647,7 +648,7 @@ def test_small_graph_greedy_scores_each_step_in_one_stacked_call(monkeypatch):
         k = min(3, c.p)
         for spec in ("tau:t=1", "hankel", "mq:q=0.5"):
             sizes.clear()
-            sg.greedy(s, c, k, sg.parse_measure(spec))
+            sg.greedy(s, sg.CandidateSet(c.links), k, sg.parse_measure(spec))
             assert sizes == list(range(c.p, c.p - k, -1)), spec
 
 
@@ -860,8 +861,9 @@ def test_linearized_rejects_nondifferentiable():
 
 
 def test_solvers_update_the_state_only_between_picks(monkeypatch):
-    """k - 1 grown states for k picks; on the closed forms greedy and
-    linearized grow none, as they carry the candidates' resistances instead."""
+    """k - 1 grown states for k picks on a fresh candidate set; on the closed
+    forms greedy and linearized grow none, as they carry the candidates'
+    resistances instead."""
     calls = []
     with_edge = sg.LaplacianState.with_edge
 
@@ -876,7 +878,7 @@ def test_solvers_update_the_state_only_between_picks(monkeypatch):
                                 (sg.greedy, "zeta:q=1", False), (sg.linearized, "zeta:q=1", False)):
         for k in (1, 3):
             calls.clear()
-            solver(s, c, k, sg.parse_measure(spec))
+            solver(s, sg.CandidateSet(c.links), k, sg.parse_measure(spec))
             assert len(calls) == (k - 1 if grows else 0), (solver.__name__, spec)
 
 
@@ -948,9 +950,10 @@ def test_closed_form_runs_do_not_depend_on_solve_order():
 
 def test_brute_force_runs_do_not_depend_on_solve_order(monkeypatch):
     """A brute-force search whose subsets of sizes 0..k fit one stack keeps
-    their spectra for its state and k; a search for any measure after it
-    calls no LAPACK routine and equals one on a cold state and set.  The
-    kept spectra are read-only, left out of a pickle and go with their state."""
+    their spectra for its state, one entry for the largest k; a search for
+    any measure and any k up to it calls no LAPACK routine and equals one on
+    a cold state and set.  The kept spectra are read-only, left out of a
+    pickle and go with their state."""
     import gc
     import pickle
     calls = []
@@ -990,8 +993,75 @@ def test_brute_force_runs_do_not_depend_on_solve_order(monkeypatch):
                 with pytest.raises(ValueError):
                     a[0, 0] = 0.0
         assert len(c._memo) == 1
+        with monkeypatch.context() as patch:  # the k = 3 entry serves every smaller k
+            for name in ("eigvalsh", "eigh"):
+                patch.setattr(np.linalg, name, counting(name))
+            calls.clear()
+            for k in (2, 1, 0):
+                served = c._subset_spectra(s, k)
+                assert len(served) == k + 1 and all(a is b for a, b in zip(served, spectra))
+                sg.brute_force(s, c, k, suite[0])
+            assert calls == [], scale
         assert pickle.loads(pickle.dumps(c)) == c  # the memo is left out
         del s
+        gc.collect()
+        assert len(c._memo) == 0, scale
+
+
+def test_greedy_and_linearized_runs_do_not_depend_on_solve_order(monkeypatch):
+    """On a small state, greedy and linearized keep each visited state's
+    single-link spectra and grown states with the candidate set; a solve
+    after others, for any measure, equals one on a cold state and set, and
+    one over a path visited before calls no LAPACK routine and grows no
+    state.  The kept spectra are read-only, left out of a pickle and go with
+    their root, grown states included."""
+    import gc
+    import pickle
+    calls = []
+
+    def counting(name, routine):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return routine(*args, **kwargs)
+        return counted
+
+    rng = np.random.default_rng(229)
+    for scale in (1e-8, 1.0, 1e8):
+        n = int(rng.integers(5, 13))
+        g = random_connected(rng, n)
+        triples = [(i, j, scale * w) for (i, j), w in random_candidates(rng, n, 7).links]
+        s, c = sg.build_laplacian(g), sg.CandidateSet.from_triples(triples)
+        runs = [(solver, m) for m in kind_suite(s) for solver in (sg.greedy, sg.linearized)
+                if solver is sg.greedy or m.differentiable]
+        for k in (1, 2, 3):
+            results = []
+            for solver, m in runs:
+                warm = solver(s, c, k, m)
+                cold = solver(sg.build_laplacian(g), sg.CandidateSet.from_triples(triples), k, m)
+                results.append((repr(warm.chosen), repr(warm.values), warm.tie_breaks))
+                assert results[-1] == (repr(cold.chosen), repr(cold.values), cold.tie_breaks), \
+                    (scale, k, solver.__name__, m.label)
+            with monkeypatch.context() as patch:  # every path is visited now
+                for name in ("eigvalsh", "eigh"):
+                    patch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+                patch.setattr(sg.LaplacianState, "with_edge",
+                              counting("with_edge", sg.LaplacianState.with_edge))
+                for (solver, m), result in zip(runs, results):
+                    calls.clear()
+                    again = solver(s, c, k, m)
+                    assert calls == [], (scale, k, solver.__name__, m.label)
+                    assert (repr(again.chosen), repr(again.values), again.tie_breaks) == result
+        records = list(c._memo.values())
+        assert len(records) > 1  # the root and the states grown from it
+        assert any(record.singles for record in records)
+        for record in records:
+            for row in record.singles.values():
+                assert row.shape == (n - 1,)
+                with pytest.raises(ValueError):
+                    row[0] = 0.0
+        assert sum(len(record.grown) for record in records) == len(records) - 1
+        assert pickle.loads(pickle.dumps(c)) == c  # the memo is left out
+        del s, records, record
         gc.collect()
         assert len(c._memo) == 0, scale
 
