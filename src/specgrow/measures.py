@@ -169,15 +169,17 @@ def evaluate(m: MeasureSpec, state: LaplacianState) -> float:
     return spectral_value(m, state.nonzero_eigvals, state.n)
 
 
-def companion_value(m: MeasureSpec, inverse_spectrum, n: int | None = None) -> float:
+def companion_value(m: MeasureSpec, inverse_spectrum,
+                    n: int | None = None) -> float | np.ndarray:
     """Measure value written on the pseudo-inverse spectrum mu_2 <= ... <= mu_n.
 
     This is `spectral_value` at lam = 1/mu, so it matches `evaluate`; entries
-    equal to zero are the infinite-coupling limit lam = inf.
+    equal to zero are the infinite-coupling limit lam = inf.  A 2-D stack
+    gives one value per row, as an array; n defaults to a row's length + 1.
     """
     mus = np.asarray(inverse_spectrum, dtype=float)
     if n is None:
-        n = mus.size + 1
+        n = mus.shape[-1] + 1
     if (mus < 0.0).any():
         raise InvalidParameter("inverse spectrum must be nonnegative")
     with np.errstate(divide="ignore"):

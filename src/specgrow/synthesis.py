@@ -12,13 +12,9 @@ candidate link set:
   zeta:q=2, volume and mq:q=1 measures score each candidate in O(1) from
   resistances carried across picks (:class:`_Resistances`); every other
   measure scores exactly, from downdated pseudo-inverse spectra, only the
-  candidates that a lower bound cannot rule out (:func:`_pruned_scores`).
-  On a small state, where one stacked call scores every link left
-  (:meth:`CandidateSet._keeps_steps`), the candidate set keeps each state's
-  single-link spectra and grown states, so a later greedy or linearized
-  solve over the same path, for any measure, calls no LAPACK routine.
+  candidates that a lower bound cannot rule out (:class:`_Exact`).
 * :func:`linearized` - one gradient of the measure, then the k candidates
-  with the largest first-order improvement, valued as greedy values them.
+  with the largest first-order improvement, valued by greedy's scorer.
 
 All tie-breaking is deterministic and follows one rule: the pick is the
 lex-smallest candidate within 1e-12 relative of the minimum score
@@ -71,24 +67,18 @@ CHUNK = 16
 # temporaries stay near 300 KB each at n = 300, where all 1,000 candidates at
 # once raised peak memory by 10 MiB.
 ROWS = 128
-# Entries of one stack of n x n matrices, links scored or subsets valued by
-# one eigvalsh: 256 KB, so n > 128 stacks one matrix at a time.
+# Entries of one stack of n x n matrices, the subsets that brute force values
+# by one eigvalsh: 256 KB, so n > 128 stacks one matrix at a time.
 STACK = 32_768
 
 
 @dataclass
 class _StateRecord:
     """One state's entry in a candidate set's memo (:class:`CandidateSet`),
-    each field filled at its first read.
-
-    `resistances` serve the closed-form solves; `spectra`, by subset size
-    0..the largest k searched in one stack, serve brute force.  Only where
-    a greedy step scores every link left in one stacked call (no pinching
-    level, n - 1 <= BLOCKS[0], and p <= CHUNK: :meth:`CandidateSet._keeps_steps`)
-    are `singles` (each link's inverse spectrum after adding it alone) and
-    `grown` (the state grown by each link picked from this one) kept.  The
-    record holds its grown states strongly and nothing holds its own state,
-    so grown states, and their own records, go with their root.
+    each field filled at its first read: `singles` and `grown` only on a
+    small state.  The record holds its grown states strongly and nothing
+    holds its own state, so grown states, and their own records, go with
+    their root.
     """
 
     resistances: np.ndarray | None = None                            # (3, p)
@@ -104,12 +94,14 @@ class CandidateSet:
     Its memo keeps one record per state, dropped with the state: the links'
     root resistances (:meth:`_root_resistances`); for the largest k whose
     subsets of sizes 0..k fit in one stack (sum_t C(p, t) <= STACK // n^2),
-    the spectra of all those subsets (:meth:`_subset_spectra`); and, where a
-    greedy step scores every link left in one stacked call
-    (:meth:`_keeps_steps`), each link's single-link inverse spectrum
+    the spectra of all those subsets (:meth:`_subset_spectra`); and, on a
+    small state, each link's single-link inverse spectrum
     (:meth:`_single_spectra`) and the state grown by each link picked from
-    it (:meth:`_grown`).  So solves on a path visited before, for any
-    measure, by greedy or linearized, call no LAPACK routine and grow no state.
+    it (:meth:`_grown`).  A state is small where one exact call scores all p
+    links (:func:`_one_call`: n - 1 <= BLOCKS[0], so no pinching level, and
+    p <= CHUNK, or p = 1), so a greedy step there computes no bound.  Solves
+    on a small path visited before, for any measure, by greedy or
+    linearized, call no LAPACK routine and grow no state.
     """
 
     links: tuple[tuple[Edge, float], ...]
@@ -182,22 +174,20 @@ class CandidateSet:
         return kept[:k + 1]
 
     def _keeps_steps(self, state: LaplacianState) -> bool:
-        """Whether a greedy step on the state scores every link left in one
-        stacked exact call: no pinching level (n - 1 <= BLOCKS[0]) and at most
-        CHUNK links (see :func:`_pruned_scores`).  Only there does the memo
-        keep single-link spectra and grown states."""
-        return state.n - 1 <= BLOCKS[0] and self.p <= CHUNK
+        """Whether the state is small, so its record keeps single-link
+        spectra and grown states."""
+        return _one_call(state.n, self.p)
 
-    def _single_spectra(self, state: LaplacianState, links: list[int]) -> np.ndarray:
-        """(len(links), n - 1) array: row b is the state's nonzero inverse
-        spectrum after adding link links[b] alone
-        (:func:`downdated_inverse_spectra`).  Where :meth:`_keeps_steps`
-        holds, each link's row is computed once per state and kept
-        read-only, the rows missing by one stacked call (a row does not
-        depend on the rows stacked with it); elsewhere all are computed afresh."""
+    def _single_spectra(self, state: LaplacianState, idx: np.ndarray) -> np.ndarray:
+        """(idx.size, n - 1) array: row b is the state's nonzero inverse
+        spectrum after adding link idx[b] alone
+        (:func:`downdated_inverse_spectra`).  On a small state each link's
+        row is computed once and kept read-only, the rows missing by one
+        stacked call (a row does not depend on the rows stacked with it);
+        elsewhere all are computed afresh."""
         if not self._keeps_steps(state):
-            return downdated_inverse_spectra(state, *(a[links] for a in self.arrays))
-        rows = self._record(state).singles
+            return downdated_inverse_spectra(state, *(a[idx] for a in self.arrays))
+        rows, links = self._record(state).singles, idx.tolist()
         missing = [link for link in links if link not in rows]
         if missing:
             spectra = downdated_inverse_spectra(state, *(a[missing] for a in self.arrays))
@@ -206,8 +196,8 @@ class CandidateSet:
         return np.array([rows[link] for link in links])
 
     def _grown(self, state: LaplacianState, link: int) -> LaplacianState:
-        """The state grown by link (with_edge): kept in the state's record,
-        built once, where :meth:`_keeps_steps` holds; built afresh elsewhere."""
+        """The state grown by link (with_edge): on a small state kept in its
+        record, built once; elsewhere built afresh."""
         if not self._keeps_steps(state):
             return state.with_edge(*self.links[link])
         grown = self._record(state).grown
@@ -282,8 +272,9 @@ class _ClosedForm(NamedTuple):
 
 # Measures whose post-addition value follows in O(1) from the weight w of the
 # link and its effective resistances r[q] under P^q, q = 1..top, with
-# c = (1/w + r[1])^-1.  Greedy carries only these p resistances across picks
-# (see _Resistances), never a grown state; top = 0 reads none.
+# c = (1/w + r[1])^-1, which is formed only for top >= 2 (volume reads r[1]
+# alone).  Greedy carries only these p resistances across picks (see
+# _Resistances), never a grown state; top = 0 reads none.
 _CLOSED_FORMS = {
     MeasureSpec("zeta", 1.0): _ClosedForm(1, 2, lambda w, c, r: c * r[2], lambda s: s),
     MeasureSpec("zeta", 2.0): _ClosedForm(
@@ -317,7 +308,7 @@ def _drop(form: _ClosedForm, ws, R):
     """Decrease of the form's statistic for links at weights ws whose
     resistance under P^q is R[q - 1]."""
     r = dict(enumerate(R[:form.top], 1))
-    return form.drop(ws, 1.0 / (1.0 / ws + r[1]) if form.top else None, r)
+    return form.drop(ws, 1.0 / (1.0 / ws + r[1]) if form.top > 1 else None, r)
 
 
 def closed_form_delta(m: MeasureSpec, state: LaplacianState, edge: Edge, weight: float) -> float:
@@ -352,17 +343,11 @@ def _link_arrays(links: Iterable[tuple[Edge, float]]) -> tuple[np.ndarray, ...]:
     return rows, cols, ws
 
 
-def _spectral_scores(m: MeasureSpec, state: LaplacianState, rows, cols, ws) -> np.ndarray:
-    """Post-addition measure value of each link (rows, cols, ws), added alone,
-    from the downdated inverse spectra: one stacked eigvalsh and one
-    companion_value per STACK entries.  A link's score does not depend on
-    the links stacked with it."""
-    size, scores = max(1, STACK // state.n ** 2), np.empty(len(rows))
-    for start in range(0, len(rows), size):
-        part = slice(start, start + size)
-        spectra = downdated_inverse_spectra(state, rows[part], cols[part], ws[part])
-        scores[part] = companion_value(m, spectra, state.n)
-    return scores
+def _one_call(n: int, count: int) -> bool:
+    """Whether one exact call holds `count` links on an n-node state, so
+    that no bound could spare one: a lone link, or at most CHUNK links
+    where no pinching level exists (n - 1 <= BLOCKS[0])."""
+    return count == 1 or (count <= CHUNK and n - 1 <= BLOCKS[0])
 
 
 def _cut(best: float) -> float:
@@ -412,18 +397,23 @@ def _pinched_bounds(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarr
     return np.where(bounds < math.inf, bounds, -math.inf)
 
 
-def _pruned_scores(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarray, ...],
+def _pruned_scores(m: MeasureSpec, state: LaplacianState, candidates: CandidateSet,
                    idx: np.ndarray) -> np.ndarray:
-    """Exact scores of the links idx that the lower bounds cannot rule out;
-    the rest read inf.
+    """Exact scores of the candidate links idx that the lower bounds cannot
+    rule out; the rest read inf.
 
-    The levels, built here from n, are widths: the diagonal bound (0), the
-    BLOCKS pinchings (:func:`_pinched_bounds`) up to the first that couples
-    every direction, and the exact score (:func:`_spectral_scores`), of
-    width CHUNK * BLOCKS[0] after pinchings and BLOCKS[0] without.  So at
-    most 33 nodes get no pinching (one would cost an exact score), 34-65
-    nodes 32 and a full block, 66-129 nodes 32, 64 and a full block, more
-    nodes 32, 64 and 128; a grown state is decomposed only for its bounds.
+    An exact score is the measure at the link's downdated inverse spectrum
+    (:meth:`CandidateSet._single_spectra`).  When one exact call holds
+    every link given (:func:`_one_call`), they are scored in that call,
+    with no bound and no heap.
+
+    Otherwise the levels, built here from n, are widths: the diagonal bound
+    (0), the BLOCKS pinchings (:func:`_pinched_bounds`) up to the first that
+    couples every direction, and the exact score, of width CHUNK * BLOCKS[0]
+    after pinchings and BLOCKS[0] without.  So at most 33 nodes get no
+    pinching (one would cost an exact score), 34-65 nodes 32 and a full
+    block, 66-129 nodes 32, 64 and a full block, more nodes 32, 64 and 128;
+    a grown state is decomposed only for its bounds.
 
     The walk is best-first (lazy greedy, Minoux 1978) over a heap of
     (bound, position, level) entries, each link starting at its diagonal
@@ -438,6 +428,9 @@ def _pruned_scores(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarra
     so the walk ends with every link left unscored above it, outside the
     tie band.
     """
+    if _one_call(state.n, idx.size):
+        return companion_value(m, candidates._single_spectra(state, idx), state.n)
+    links = candidates.arrays
     short = sum(block < state.n - 1 for block in BLOCKS)
     widths = (0, *BLOCKS[:short + 1], CHUNK * BLOCKS[0]) if short else (0, BLOCKS[0])
     last = len(widths) - 1
@@ -458,7 +451,8 @@ def _pruned_scores(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarra
             width += widths[level]
         for level, batch in batches.items():
             if level == last:
-                scores[batch] = _spectral_scores(m, state, *(a[idx[batch]] for a in links))
+                spectra = candidates._single_spectra(state, idx[batch])
+                scores[batch] = companion_value(m, spectra, state.n)
                 best = min(best, float(scores[batch].min()))
             else:
                 bounds = _pinched_bounds(m, state, links, idx[batch], widths[level])
@@ -506,9 +500,11 @@ class _Resistances:
                   else np.empty((0, candidates.p)))
         self.P = None  # P0, read at the first pick
 
-    def scores(self, idx=slice(None)) -> np.ndarray:
-        """Post-addition measure value of each candidate idx (all by default)."""
-        return self.form.transform(self.stat - _drop(self.form, self.ws[idx], self.R[:, idx]))
+    def scores(self, idx: np.ndarray) -> np.ndarray:
+        """Post-addition measure value of each candidate idx, computed for
+        all p from views of the carried arrays: a gather of those would cost
+        more than the elementwise work it spares."""
+        return self.form.transform(self.stat - _drop(self.form, self.ws, self.R))[idx]
 
     def add(self, link: int, value: float) -> None:
         """Add candidate `link`, whose score was `value`."""
@@ -560,6 +556,34 @@ class _Resistances:
             self.picks = 0
 
 
+class _Exact:
+    """Exact scores of the spectral measures (:func:`_pruned_scores`) on the
+    state grown so far, stepped pick by pick through the candidate set
+    (:meth:`CandidateSet._grown`): a rank-one update between picks only."""
+
+    def __init__(self, m: MeasureSpec, state: LaplacianState, candidates: CandidateSet):
+        self.m, self.state, self.candidates = m, state, candidates
+
+    def scores(self, idx: np.ndarray) -> np.ndarray:
+        """Post-addition measure value of each candidate idx that the lower
+        bounds cannot rule out; the rest read inf."""
+        return _pruned_scores(self.m, self.state, self.candidates, idx)
+
+    def add(self, link: int, value: float) -> None:
+        """Add candidate `link`, whose score was `value`."""
+        self.state = self.candidates._grown(self.state, link)
+
+
+def _scorer(m: MeasureSpec, state: LaplacianState, candidates: CandidateSet,
+            value: float) -> _Resistances | _Exact:
+    """Greedy's and linearized's scorer at a state whose value is `value`:
+    carried resistances for a closed form, exact scores for the rest."""
+    form = _CLOSED_FORMS.get(m)
+    if form is None:
+        return _Exact(m, state, candidates)
+    return _Resistances(form, state, candidates, value)
+
+
 def _argmin_lex(scores) -> tuple[int, int]:
     """Lex-smallest index within TIE_REL of the minimum, and how many other
     indices share that band.  An infinite minimum ties only with itself."""
@@ -590,57 +614,36 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
            m: MeasureSpec) -> SynthesisResult:
     """Add the best single link k times.
 
-    Each step applies the tie rule to the candidates left.  The closed forms
-    grow no state: a step scores all p candidates from carried resistances
-    (:class:`_Resistances`) and gives the picked ones an infinite score; a
-    closed-form minimum is finite, so the tie rule sees exactly the
-    candidates left.  Every other measure scores exactly only the links its
-    bounds cannot rule out (:func:`_pruned_scores`), every other one lies
-    outside the tie band, and the state is updated rank-one between picks
-    only: k - 1 updates in all.  So the picks, values and `tie_breaks` are
-    those of scoring every candidate left with the same scorer.  On a small
-    state (:meth:`CandidateSet._keeps_steps`) no bound is computed; the
-    scores read the rows of the kept single-link spectra, and the updates
-    are the kept grown states (:meth:`CandidateSet._grown`), each built once
-    per candidate set.  `elapsed` holds each step's seconds, set-up time in
-    the first.
+    Each step applies the tie rule to the scores of the candidates left
+    (:func:`_scorer`).  The closed forms score every candidate from carried
+    resistances and grow no state; every other measure scores exactly only
+    the links its bounds cannot rule out, every other one lying outside the
+    tie band, and grows the state rank-one between picks only: k - 1
+    updates in all.  So the picks, values and `tie_breaks` are those of
+    scoring every candidate left with the same scorer.  On a small state
+    the candidate set keeps the scores' spectra and the grown states
+    (:class:`CandidateSet`).  `elapsed` holds each step's seconds, set-up
+    time in the first.
     """
     _check_instance(state, candidates, k)
     t0 = perf_counter()
-    links = candidates.arrays
-    form = _CLOSED_FORMS.get(m)
     values = [evaluate(m, state)]
-    carried = None if form is None else _Resistances(form, state, candidates, values[0])
-    kept = candidates._keeps_steps(state)
-    remaining = np.arange(candidates.p)  # unpicked links, for the exact scores
-    picked: list[int] = []
+    scorer = _scorer(m, state, candidates, values[0])
+    left = np.arange(candidates.p)  # unpicked links, ascending
     chosen: list[tuple[Edge, float]] = []
     elapsed: list[float] = []
     tie_breaks = 0
 
     for step in range(k):
-        if carried is None:
-            if kept:
-                spectra = candidates._single_spectra(state, remaining.tolist())
-                scores = companion_value(m, spectra, state.n)
-            else:
-                scores = _pruned_scores(m, state, links, remaining)
-            pick, ties = _argmin_lex(scores)
-            link, remaining = int(remaining[pick]), np.delete(remaining, pick)
-        else:  # closed-form minima are finite, so an inf score is never picked
-            scores = carried.scores()
-            scores[picked] = math.inf
-            pick, ties = _argmin_lex(scores)
-            link = pick
+        scores = scorer.scores(left)
+        pick, ties = _argmin_lex(scores)
+        link, value = int(left[pick]), float(scores[pick])
+        left[pick:-1], left = left[pick + 1:], left[:-1]  # drop the pick in place
         tie_breaks += ties
-        picked.append(link)
         chosen.append(candidates.links[link])
         if step + 1 < k:
-            if carried is None:
-                state = candidates._grown(state, link)
-            else:
-                carried.add(link, float(scores[pick]))
-        values.append(float(scores[pick]))
+            scorer.add(link, value)
+        values.append(value)
         elapsed.append(perf_counter() - t0)
         t0 = perf_counter()
 
@@ -727,12 +730,9 @@ def linearized(state: LaplacianState, candidates: CandidateSet, k: int,
     The first-order change of the measure from link e = {i, j} with weight w
     is w (grad_ii + grad_jj - 2 grad_ij) <= 0.  The gradient is computed once;
     each pick is then the lex-first change within the tie band of the
-    lowest one left, as greedy picks, and valued as greedy values it: the
-    closed forms from carried resistances (:class:`_Resistances`), other
-    measures by an exact score on a state grown k - 1 times, read from the
-    kept single-link spectra and grown states on a small state
-    (:meth:`CandidateSet._keeps_steps`).  Gradient and set-up time go to
-    the first step of `elapsed`.
+    lowest one left, as greedy picks, and valued by greedy's scorer
+    (:func:`_scorer`), which steps to the state grown by the pick.
+    Gradient and set-up time go to the first step of `elapsed`.
     """
     _check_instance(state, candidates, k)
     t0 = perf_counter()
@@ -740,25 +740,18 @@ def linearized(state: LaplacianState, candidates: CandidateSet, k: int,
     # First-order change w <G, L_e> of each link, G the measure's gradient.
     changes = links[2] * pair_form(gradient(m, state), *links[:2])
     values = [evaluate(m, state)]
-    form = _CLOSED_FORMS.get(m)
-    carried = None if form is None else _Resistances(form, state, candidates, values[0])
-    remaining, chosen, elapsed, tie_breaks = np.arange(candidates.p), [], [], 0
+    scorer = _scorer(m, state, candidates, values[0])
+    left, chosen, elapsed, tie_breaks = np.arange(candidates.p), [], [], 0
 
     for step in range(k):
         # Greedy's tie rule on the first-order changes left.
-        pick, tie_breaks = _argmin_lex(changes[remaining])
-        link, remaining = int(remaining[pick]), np.delete(remaining, pick)
-        if carried is None:
-            spectra = candidates._single_spectra(state, [link])
-            values.append(float(companion_value(m, spectra, state.n)[0]))
-        else:
-            values.append(float(carried.scores([link])[0]))
+        pick, tie_breaks = _argmin_lex(changes[left])
+        link = int(left[pick])
+        values.append(float(scorer.scores(left[pick:pick + 1])[0]))
+        left[pick:-1], left = left[pick + 1:], left[:-1]
         chosen.append(candidates.links[link])
         if step + 1 < k:
-            if carried is None:
-                state = candidates._grown(state, link)
-            else:
-                carried.add(link, values[-1])
+            scorer.add(link, values[-1])
         elapsed.append(perf_counter() - t0)
         t0 = perf_counter()
 

@@ -256,6 +256,14 @@ def test_companion_table_forms():
         sg.companion_value(sg.parse_measure("zeta:q=1"), np.array([-0.1, 0.5]))
 
 
+def test_companion_value_of_a_stack_takes_n_from_its_rows():
+    stack = np.array([[0.2, 0.7, 1.1], [0.0, 0.3, 0.9]])
+    for m in map(sg.parse_measure, ("zeta:q=1", "volume", "tau:t=1")):
+        values = sg.companion_value(m, stack)
+        assert values.shape == (2,), m.label
+        assert repr(values.tolist()) == repr([sg.companion_value(m, row) for row in stack]), m.label
+
+
 def test_companion_equals_evaluate():
     rng = np.random.default_rng(33)
     for _ in range(10):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import specgrow as sg
-from util import (full_recompute_value, graph, grown_powers, k4, kind_suite, laplacian_of,
-                  path_graph, pinv_power, random_candidates, random_connected, resistance,
-                  resistance_matrix, ring_graph, two_node)
+from util import (exact_scores, full_recompute_value, graph, grown_powers, k4, kind_suite,
+                  laplacian_of, path_graph, pinv_power, random_candidates, random_connected,
+                  resistance, resistance_matrix, ring_graph, two_node)
 
 
 def enumerate_best(state, candidates, k, m):
@@ -332,8 +332,7 @@ def full_scan_greedy(state, candidates, k, m):
     forms apply their drop to resistances read off P^1..P^3, which
     grown_powers carries across picks."""
     from specgrow.laplacian import pair_form
-    from specgrow.synthesis import (_CLOSED_FORMS, _argmin_lex, _drop, _link_arrays,
-                                    _spectral_scores)
+    from specgrow.synthesis import _CLOSED_FORMS, _argmin_lex, _drop, _link_arrays
     form = _CLOSED_FORMS.get(m)
     powers = {q: pinv_power(state, q) for q in (1, 2, 3)} if form is not None else None
     links = _link_arrays(candidates.links)
@@ -342,7 +341,7 @@ def full_scan_greedy(state, candidates, k, m):
     for step in range(k):
         rows, cols, ws = (a[remaining] for a in links)
         if form is None:
-            scores = _spectral_scores(m, state, rows, cols, ws)
+            scores = exact_scores(m, state, rows, cols, ws)
         else:
             stat = values[-1] if form.power is None else float(np.trace(powers[form.power]))
             R = [pair_form(P, rows, cols) for P in powers.values()]
@@ -502,19 +501,20 @@ def test_greedy_scores_only_links_whose_deepest_bound_ties_the_step_best(monkeyp
     for zero links."""
     from specgrow import synthesis
     scored, sizes = [], []
-    spectral_scores, pinched_bounds = synthesis._spectral_scores, synthesis._pinched_bounds
+    inverse_spectra, pinched_bounds = synthesis.downdated_inverse_spectra, synthesis._pinched_bounds
 
-    def recording_scores(m, state, rows, cols, ws):
-        scores = spectral_scores(m, state, rows, cols, ws)
+    def recording_spectra(state, rows, cols, ws):
+        spectra = inverse_spectra(state, rows, cols, ws)
+        scores = sg.companion_value(m, spectra, state.n)
         scored.extend(zip([state] * len(scores), rows.tolist(), cols.tolist(), ws.tolist(),
                           scores.tolist()))
-        return scores
+        return spectra
 
     def recording_bounds(m, state, links, idx, block):
         sizes.append(idx.size)
         return pinched_bounds(m, state, links, idx, block)
 
-    monkeypatch.setattr(synthesis, "_spectral_scores", recording_scores)
+    monkeypatch.setattr(synthesis, "downdated_inverse_spectra", recording_spectra)
     monkeypatch.setattr(synthesis, "_pinched_bounds", recording_bounds)
     rng = np.random.default_rng(163)
     s = sg.build_laplacian(random_connected(rng, 120))
@@ -541,11 +541,10 @@ def test_greedy_scores_only_links_whose_deepest_bound_ties_the_step_best(monkeyp
                 assert bound <= cut, (spec, i, j, bound, cut)
 
 
-def test_stacked_spectral_scores_equal_single_link_calls_bit_for_bit(monkeypatch):
-    """A link's exact score does not depend on the links stacked with it, nor
-    on the stack size, at extreme weights, on a grown state and at +inf; it
-    equals the per-link downdate P - c u u^T in with_edge's arithmetic, one
-    eigvalsh each."""
+def test_stacked_spectral_scores_equal_single_link_calls_bit_for_bit():
+    """A link's exact score does not depend on the links stacked with it, at
+    extreme weights, on a grown state and at +inf; it equals the per-link
+    downdate P - c u u^T in with_edge's arithmetic, one eigvalsh each."""
     from specgrow import synthesis
 
     def one_link(m, state, i, j, w):
@@ -566,18 +565,14 @@ def test_stacked_spectral_scores_equal_single_link_calls_bit_for_bit(monkeypatch
         for state in (root, grown):
             for scale in (1e-8, 1.0, 1e8):
                 for m in pruning_suite(state):
-                    batch = synthesis._spectral_scores(m, state, rows, cols, scale * ws)
-                    single = [float(synthesis._spectral_scores(
+                    batch = exact_scores(m, state, rows, cols, scale * ws)
+                    single = [float(exact_scores(
                         m, state, rows[b:b + 1], cols[b:b + 1], scale * ws[b:b + 1])[0])
                         for b in range(c.p)]
                     assert repr(batch.tolist()) == repr(single), (m.label, scale)
                     loop = [one_link(m, state, i, j, w) for i, j, w in
                             zip(rows.tolist(), cols.tolist(), (scale * ws).tolist())]
                     assert repr(loop) == repr(single), (m.label, scale)
-                    with monkeypatch.context() as patch:  # three links a stack
-                        patch.setattr(synthesis, "STACK", 3 * n * n)
-                        chunked = synthesis._spectral_scores(m, state, rows, cols, scale * ws)
-                    assert repr(chunked.tolist()) == repr(single), (m.label, scale)
                     infinite += single.count(math.inf)
     assert infinite  # gamma just above its threshold, at 1e-8 weights
 
@@ -660,18 +655,18 @@ def test_greedy_walk_levels_by_graph_size(monkeypatch):
     call scores up to CHUNK links without pinchings, one link after them."""
     from specgrow import synthesis
     blocks, sizes = set(), []
-    pinched_bounds, spectral_scores = synthesis._pinched_bounds, synthesis._spectral_scores
+    pinched_bounds, inverse_spectra = synthesis._pinched_bounds, synthesis.downdated_inverse_spectra
 
     def recording_bounds(m, state, links, idx, block):
         blocks.add(block)
         return pinched_bounds(m, state, links, idx, block)
 
-    def recording_scores(m, state, rows, cols, ws):
+    def recording_spectra(state, rows, cols, ws):
         sizes.append(len(rows))
-        return spectral_scores(m, state, rows, cols, ws)
+        return inverse_spectra(state, rows, cols, ws)
 
     monkeypatch.setattr(synthesis, "_pinched_bounds", recording_bounds)
-    monkeypatch.setattr(synthesis, "_spectral_scores", recording_scores)
+    monkeypatch.setattr(synthesis, "downdated_inverse_spectra", recording_spectra)
     expected = {12: (), 33: (), 34: (32, 64), 40: (32, 64), 65: (32, 64), 66: (32, 64, 128),
                 100: (32, 64, 128), 129: (32, 64, 128), 130: (32, 64, 128), 140: (32, 64, 128)}
     rng = np.random.default_rng(193)
@@ -687,6 +682,66 @@ def test_greedy_walk_levels_by_graph_size(monkeypatch):
             assert set(sizes) == {1}, n
         else:
             assert 1 < max(sizes) <= synthesis.CHUNK, n
+
+
+def test_a_lone_link_is_scored_with_no_pinched_bound(monkeypatch):
+    """Greedy at k = p: the steps before the last walk the pinchings, and the
+    last scores its one link left in one exact call, with no bound."""
+    from specgrow import synthesis
+    events = []
+    pinched_bounds, inverse_spectra = synthesis._pinched_bounds, synthesis.downdated_inverse_spectra
+
+    def recording_bounds(m, state, links, idx, block):
+        events.append(("bound", state, idx.size))
+        return pinched_bounds(m, state, links, idx, block)
+
+    def recording_spectra(state, rows, cols, ws):
+        events.append(("exact", state, len(rows)))
+        return inverse_spectra(state, rows, cols, ws)
+
+    monkeypatch.setattr(synthesis, "_pinched_bounds", recording_bounds)
+    monkeypatch.setattr(synthesis, "downdated_inverse_spectra", recording_spectra)
+    rng = np.random.default_rng(197)
+    for n in (40, 140):
+        s = sg.build_laplacian(random_connected(rng, n))
+        c = random_candidates(rng, n, 4)
+        for spec in ("tau:t=1", "hankel"):
+            events.clear()
+            sg.greedy(s, c, c.p, sg.parse_measure(spec))
+            kind, last, size = events[-1]
+            assert (kind, size) == ("exact", 1), (n, spec)
+            assert any(kind == "bound" for kind, _, _ in events), (n, spec)
+            assert not any(kind == "bound" and state is last for kind, state, _ in events), \
+                (n, spec)
+
+
+def test_linearized_values_each_pick_by_the_walks_exact_score():
+    """Linearized's value for each spectral pick equals, by repr, the walk's
+    exact score of that link on the state grown by the picks before it:
+    alone, and among every link left wherever the walk scores it there."""
+    from specgrow import synthesis
+    rng = np.random.default_rng(199)
+    among = 0
+    for n in (12, 40, 140):
+        root = sg.build_laplacian(random_connected(rng, n))
+        c = random_candidates(rng, n, 6)
+        for m in kind_suite(root):
+            if m in synthesis._CLOSED_FORMS or not m.differentiable:
+                continue
+            res = sg.linearized(root, c, 3, m)
+            state, left = root, np.arange(c.p)
+            for edge_weight, value in zip(res.chosen, res.values[1:]):
+                link = c.links.index(edge_weight)
+                alone = synthesis._pruned_scores(m, state, sg.CandidateSet(c.links),
+                                                 np.array([link]))
+                assert repr(value) == repr(float(alone[0])), (n, m.label)
+                scores = synthesis._pruned_scores(m, state, sg.CandidateSet(c.links), left)
+                pos = int(np.flatnonzero(left == link)[0])
+                if math.isfinite(scores[pos]):
+                    assert repr(value) == repr(float(scores[pos])), (n, m.label)
+                    among += 1
+                state, left = state.with_edge(*edge_weight), left[left != link]
+    assert among >= 4 * 3  # every pick of the 4 measures at n = 12, where all are scored
 
 
 def test_brute_force_equals_the_per_subset_loop_bit_for_bit(monkeypatch):
@@ -729,7 +784,7 @@ def test_brute_force_equals_the_per_subset_loop_bit_for_bit(monkeypatch):
 
 
 def test_pinched_bounds_lie_below_the_scores_and_tighten_with_the_block():
-    from specgrow.synthesis import SLACK, _link_arrays, _pinched_bounds, _spectral_scores
+    from specgrow.synthesis import SLACK, _link_arrays, _pinched_bounds
     rng = np.random.default_rng(173)
     for scale in (1.0, 1e8):
         s = sg.build_laplacian(random_connected(rng, 40))
@@ -737,7 +792,7 @@ def test_pinched_bounds_lie_below_the_scores_and_tighten_with_the_block():
         links = _link_arrays([(e, scale * w) for e, w in c.links])
         idx = np.arange(c.p)
         for m in pruning_suite(s):
-            scores = _spectral_scores(m, s, *links)
+            scores = exact_scores(m, s, *links)
             # at 1e8 the scores of mq round off by ~3e-8 relative; greedy allows SLACK
             slack = SLACK * np.maximum(1.0, np.abs(scores))
             previous = -np.inf

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 import specgrow as sg
+from specgrow.laplacian import downdated_inverse_spectra
 
 
 def graph(n, triples):
@@ -82,6 +83,12 @@ def full_recompute_value(m, L):
     """Oracle: measure value by fresh eigendecomposition of an explicit L."""
     vals = np.linalg.eigvalsh(L)
     return sg.spectral_value(m, vals[1:], L.shape[0])
+
+
+def exact_scores(m, state, rows, cols, ws):
+    """Reference exact scores: the measure at each link's downdated inverse
+    spectrum, every link (rows, cols, ws) in one stacked call."""
+    return sg.companion_value(m, downdated_inverse_spectra(state, rows, cols, ws), state.n)
 
 
 def kind_suite(state):
