@@ -10,7 +10,8 @@ candidate link set:
   it, for any measure, calls no LAPACK routine.
 * :func:`greedy` - picks the single best link k times.  The zeta:q=1,
   zeta:q=2, volume and mq:q=1 measures score each candidate in O(1) from
-  resistances carried across picks (:class:`_Resistances`); every other
+  resistances carried across picks in the root's eigenbasis, forming no
+  pseudo-inverse (:class:`_Resistances`); every other
   measure scores exactly, from downdated pseudo-inverse spectra, only the
   candidates that a lower bound cannot rule out (:class:`_Exact`).
 * :func:`linearized` - one gradient of the measure, then the k candidates
@@ -475,19 +476,24 @@ class _Resistances:
     every candidate's resistance under P^q, q = 1..top, and `stat` the form's
     statistic.  At the root both come from the spectrum: R copies the top
     rows of the candidate set's shared root resistances
-    (:meth:`CandidateSet._root_resistances`), and tr P^q = sum_k lambda_k^-q,
-    so no power of P is formed.  Adding w L_e downdates P to P - c u u^T,
-    u = P (e_i - e_j), c = (1/w + r_1)^-1, and P^q by sum_{s+t<q}
-    g[q-1-s-t] K_s K_t^T, with the rows K = [u, Pu, P^2 u][:top] and g[k]
-    the sum of the terms with k+1 factors c u u^T.  That lowers every r_q
-    by sum_{s+t<q} g[q-1-s-t] y_s y_t, y_s = K_s[rows] - K_s[cols], and
-    tr P^q by the same sum over the diagonal: O(p top^2) elementwise work
-    after the top - 1 products with P that build K.  A product with P is
-    P0 x - U^T (c * U x), with P0 the root's P (formed at the first pick
-    and kept by the root state) and the rows of U, c the u vectors and
-    coefficients of the picks so far; once U holds ceil(n/2) rows such a
-    product costs what a dense one does, so the chain is folded into P0
-    by one syrk, P0 - Y Y^T with Y = U^T sqrt(c).
+    (:meth:`CandidateSet._root_resistances`), and tr P^q = sum_k lambda_k^-q.
+    Adding w L_e downdates P to P - c u u^T, u = P (e_i - e_j), c = (1/w +
+    r_1)^-1, and P^q by sum_{s+t<q} g[q-1-s-t] K_s K_t^T, with the vectors
+    K = [u, Pu, P^2 u][:top] and g[k] the sum of the terms with k+1 factors
+    c u u^T.  That lowers every r_q by sum_{s+t<q} g[q-1-s-t] y_s y_t,
+    y_s = K_s[rows] - K_s[cols], and tr P^q by the same sum over the
+    diagonal: O(p top^2) elementwise work.
+
+    The pseudo-inverse is never formed.  K is built in the coordinates of
+    the root's eigenvectors V[:, 1:], in which the root's P is the diagonal
+    1/lambda and e_i - e_j is V[i, 1:] - V[j, 1:]: a product with P is one
+    with that diagonal (with a dense matrix after a fold) minus E^T (c * E x),
+    with E, c the u vectors (in these coordinates) and coefficients of the
+    picks so far.  tr K_s K_t^T is read in these coordinates too, and one
+    product with V[:, 1:] per pick maps K to the nodes for y.  Once E holds
+    ceil((n - 1)/2) rows a product with the chain costs what a dense one
+    does, so the chain is folded by one syrk into the dense matrix
+    D - Y Y^T, D the matrix before it and Y = E^T sqrt(c).
     """
 
     def __init__(self, form: _ClosedForm, state: LaplacianState,
@@ -498,7 +504,7 @@ class _Resistances:
         self.stat = value if form.power is None else float(np.sum(lams ** -float(form.power)))
         self.R = (np.array(candidates._root_resistances(state)[:form.top]) if form.top
                   else np.empty((0, candidates.p)))
-        self.P = None  # P0, read at the first pick
+        self.P = None  # the root's P in its eigenbasis, set at the first pick
 
     def scores(self, idx: np.ndarray) -> np.ndarray:
         """Post-addition measure value of each candidate idx, computed for
@@ -516,43 +522,41 @@ class _Resistances:
             return
         if self.P is None:
             n = self.root.n
-            self.P = np.asarray(self.root.pinv)
-            self.U, self.c, self.picks = np.empty(((n + 1) // 2, n)), np.empty((n + 1) // 2), 0
-        U, c = self.U[:self.picks], self.c[:self.picks]
-        u = self.P[i] - self.P[j]  # P is symmetric; its rows are contiguous
-        if self.picks:
-            u -= (c * (U[:, i] - U[:, j])) @ U
-        krylov = [u]
-        while len(krylov) < top:
-            x = self.P @ krylov[-1]
+            self.V, self.P = self.root.eigvecs[:, 1:], 1.0 / self.root.nonzero_eigvals
+            self.E, self.c, self.picks = np.empty((n // 2, n - 1)), np.empty(n // 2), 0
+        E, c = self.E[:self.picks], self.c[:self.picks]
+        # Column s of K is K_s in the eigenbasis: P times e_i - e_j, then P K_{s-1}.
+        K, x = np.empty((self.V.shape[1], top)), self.V[i] - self.V[j]
+        for s in range(top):
+            Px = self.P * x if self.P.ndim == 1 else self.P @ x
             if self.picks:
-                x -= (c * (U @ krylov[-1])) @ U
-            krylov.append(x)
-        K = np.array(krylov)
-        coef = 1.0 / (1.0 / w + self.R[0, link])
-        h = [float(u @ v) for v in krylov]  # r_e(L^2), r_e(L^3), ...
+                Px -= (c * (E @ x)) @ E
+            K[:, s] = x = Px
+        gram = K.T @ K  # tr K_s K_t^T
+        coef = 1.0 / (1.0 / w + float(self.R[0, link]))
+        h = gram[0].tolist()  # r_e(L^2), r_e(L^3), ...
         g = (coef, -coef * coef * h[0],
              coef * coef * (coef * h[0] * h[0] - h[1]) if top > 1 else 0.0)[:top]
-        if power is not None:  # tr K_s K_t^T = K_s . K_t
-            self.stat -= float(np.sum(_hankel_core(g, power) * (K[:power] @ K[:power].T)))
+        if power is not None:
+            self.stat -= float(np.sum(_hankel_core(g, power) * gram[:power, :power]))
         # r_q drops by the x^(q-1) coefficient of G(x) Y(x)^2, G and Y the
         # polynomials with coefficients g and y_s: the square's coefficients
         # A_k = sum_{s+t=k} y_s y_t, each pair s < t once and doubled, then times
         # the lower-triangular Toeplitz matrix of g, C_top with its rows reversed.
         # Picked candidates are updated too, and nothing reads them again.
-        Y = K.take(self.rows, axis=1) - K.take(self.cols, axis=1)
-        twice, A = 2.0 * Y, np.empty_like(Y)
+        Kn = (self.V @ K).T.copy()  # node coordinates, each row contiguous for the gathers
+        Y = Kn.take(self.rows, axis=1) - Kn.take(self.cols, axis=1)
+        A = np.empty_like(Y)
         for k in range(top):
-            a = Y[k // 2] * Y[k // 2] if k % 2 == 0 else 0.0
+            A[k] = Y[k // 2] * Y[k // 2] if k % 2 == 0 else 0.0
             for s in range((k + 1) // 2):
-                a = a + twice[s] * Y[k - s]
-            A[k] = a
+                A[k] += 2.0 * Y[s] * Y[k - s]
         self.R -= _hankel_core(g, top)[::-1] @ A
-        self.U[self.picks], self.c[self.picks] = u, coef
+        self.E[self.picks], self.c[self.picks] = K[:, 0], coef
         self.picks += 1
-        if self.picks == self.U.shape[0]:
-            Y = self.U.T * np.sqrt(self.c)
-            self.P = self.P - Y @ Y.T
+        if self.picks == self.c.size:
+            Y = self.E.T * np.sqrt(self.c)
+            self.P = (np.diag(self.P) if self.P.ndim == 1 else self.P) - Y @ Y.T
             self.picks = 0
 
 

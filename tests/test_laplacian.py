@@ -273,13 +273,17 @@ def test_powers_are_computed_on_first_read_and_carried(monkeypatch):
         sg.evaluate(m, s)
     assert counts == {"eigh": 1, "products": 0}
 
-    # closed-form greedy grows no state and forms P^1 at most
-    for spec, products in (("volume", 1), ("zeta:q=1", 1), ("zeta:q=2", 1), ("mq:q=1", 0)):
+    # closed-form greedy grows no state and forms no n x n product, P included;
+    # linearized forms no P either, but for volume, whose gradient reads it
+    for spec in ("volume", "zeta:q=1", "zeta:q=2", "mq:q=1"):
         counts.update(eigh=0, products=0)
         held.clear()
-        sg.greedy(sg.build_laplacian(g), cands, 6, sg.parse_measure(spec))
-        assert counts == {"eigh": 1, "products": products}, spec
-        assert held == [], spec
+        root = sg.build_laplacian(g)
+        sg.greedy(root, cands, 6, sg.parse_measure(spec))
+        assert counts == {"eigh": 1, "products": 0}, spec
+        assert held == [] and root._pinv is None, spec
+        sg.linearized(root, cands, 6, sg.parse_measure(spec))
+        assert held == [] and (root._pinv is None) == (spec != "volume"), spec
 
     # the root's P is formed once, then carried without a product or an eigh
     counts.update(eigh=0, products=0)
