@@ -47,6 +47,11 @@ class LaplacianState:
         self._pinv = None if pinv is None else _freeze(pinv)
         self._eigvals = self._eigvecs = None
 
+    def __setstate__(self, state: dict) -> None:
+        """A pickled or deep-copied state's arrays (every attribute is one, or
+        None) arrive writable: freeze them."""
+        vars(self).update({k: a if a is None else _freeze(a) for k, a in state.items()})
+
     # --- basic shape ---------------------------------------------------
 
     @property

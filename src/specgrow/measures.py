@@ -77,11 +77,8 @@ class MeasureSpec:
     @property
     def differentiable(self) -> bool:
         """False for the max-eigenvalue measures (hankel, zeta/hp at infinity)."""
-        if self.kind == "hankel":
-            return False
-        if self.kind in ("zeta", "hp") and math.isinf(self.param):
-            return False
-        return True
+        # zeta and hp are the kinds that take an infinite parameter
+        return self.kind != "hankel" and not math.isinf(self.param or 0.0)
 
     @property
     def label(self) -> str:
@@ -136,32 +133,40 @@ def spectral_value(m: MeasureSpec, eigenvalues, n: int):
 def _row_values(m: MeasureSpec, lams: np.ndarray, n: int):
     """The measure of each row of lams; a 1-D lams reduces to a numpy scalar,
     whose powers round as Python's float powers do."""
-    if m.kind == "zeta":
-        q = m.param
-        if math.isinf(q):
-            return 1.0 / np.min(lams, axis=-1)
-        return np.sum(lams ** -q, axis=-1) ** (1.0 / q)
-    if m.kind == "gamma":
-        g = m.param
-        root = np.sqrt(np.maximum(lams * lams - g ** -2, 0.0))
-        return np.where(g * np.min(lams, axis=-1) < 1.0, math.inf,
-                        np.sum(1.0 / (lams + root), axis=-1))
-    if m.kind == "tau":
-        t = m.param
-        return np.sum(-np.expm1(-2.0 * t * lams) / (2.0 * lams), axis=-1)
-    if m.kind == "hankel":
-        return 0.5 / np.min(lams, axis=-1)
-    if m.kind == "volume":
-        with np.errstate(divide="ignore"):
-            return (1.0 - n) * math.log(2.0) - np.sum(np.log(lams), axis=-1)
-    if m.kind == "hp":
-        p = m.param
-        if math.isinf(p):
-            return 1.0 / np.min(lams, axis=-1)
-        return hardy_schatten_alpha0(p) * np.sum(lams ** -(p - 1.0), axis=-1) ** (1.0 / p)
-    # mq
-    q = m.param
-    return -np.sum(lams ** q, axis=-1)
+    if not m.differentiable:
+        return from_lambda2(m, np.min(lams, axis=-1))
+    value = from_sum(m, np.sum(summand(m, lams), axis=-1), n)
+    return np.where(m.param * np.min(lams, axis=-1) < 1.0, math.inf, value) if m.kind == "gamma" \
+        else value
+
+
+def summand(m: MeasureSpec, x):
+    """The per-eigenvalue term f of a measure that sums one over the spectrum
+    (every differentiable one), at real or complex x: lam^-q (zeta),
+    1/(lam + sqrt(lam^2 - gamma^-2)) (gamma), (1 - exp(-2 lam t)) / (2 lam)
+    (tau), log lam (volume), lam^-(p-1) (hp) and lam^q (mq).  At a complex x
+    each is the branch analytic in Re x > 0, gamma's off [0, 1/gamma]."""
+    kind, p = m.kind, m.param
+    if kind == "gamma":
+        d = x * x - p ** -2
+        # a real spectrum clamps rounding at the threshold; a complex x lies off it
+        return 1.0 / (x + np.sqrt(d if np.iscomplexobj(d) else np.maximum(d, 0.0)))
+    if kind == "tau":
+        return -np.expm1(-2.0 * p * x) / (2.0 * x)
+    return np.log(x) if kind == "volume" else x ** {"zeta": -p, "hp": 1.0 - p, "mq": p}[kind]
+
+
+def from_sum(m: MeasureSpec, s, n: int):
+    """The measure value from s, the sum of its summand over the spectrum."""
+    if m.kind in ("zeta", "hp"):
+        return (hardy_schatten_alpha0(m.param) if m.kind == "hp" else 1.0) * s ** (1.0 / m.param)
+    return (1.0 - n) * math.log(2.0) - s if m.kind == "volume" else -s if m.kind == "mq" else s
+
+
+def from_lambda2(m: MeasureSpec, lam2):
+    """A max-eigenvalue measure's value from lambda_2: 1/(2 lambda_2) for
+    hankel, 1/lambda_2 for zeta and hp at infinity."""
+    return (0.5 if m.kind == "hankel" else 1.0) / lam2
 
 
 def evaluate(m: MeasureSpec, state: LaplacianState) -> float:

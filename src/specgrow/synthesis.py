@@ -11,9 +11,12 @@ candidate link set:
 * :func:`greedy` - picks the single best link k times.  The zeta:q=1,
   zeta:q=2, volume and mq:q=1 measures score each candidate in O(1) from
   resistances carried across picks in the root's eigenbasis, forming no
-  pseudo-inverse (:class:`_Resistances`); every other
-  measure scores exactly, from downdated pseudo-inverse spectra, only the
-  candidates that a lower bound cannot rule out (:class:`_Exact`).
+  pseudo-inverse (:class:`_Resistances`); every other measure scores
+  exactly only the candidates that its diagonal bound cannot rule out
+  (:class:`_Exact`), reading the state's eigenbasis: a contour integral
+  for the sums of f over the spectrum, the secular equation's root for
+  lambda_2 (:func:`_exact_scores`).  A small state scores every link, on
+  its downdated pseudo-inverse spectrum.
 * :func:`linearized` - one gradient of the measure, then the k candidates
   with the largest first-order improvement, valued by greedy's scorer.
 
@@ -28,7 +31,6 @@ at the k-th pick (linearized) in that band.
 
 from __future__ import annotations
 
-import heapq
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -43,26 +45,23 @@ from .errors import (CombinatorialBlowup, GraphFormatError, InvalidParameter,
                      UnsupportedMeasure)
 from .graphs import Edge, load_json, node_pair, read_links
 from .laplacian import LaplacianState, downdated_inverse_spectra, pair_form
-from .measures import MeasureSpec, companion_value, evaluate, gradient, spectral_value
+from .measures import (MeasureSpec, companion_value, evaluate, from_lambda2, from_sum,
+                       gradient, spectral_value, summand)
 
 TIE_REL = 1e-12
 # Greedy stops scoring once the next lower bound lies above the best score's
 # tie band by SLACK too (relative, like TIE_REL).  The bounds read the state's
-# eigendecomposition and the scores a downdated pseudo-inverse; the two routes
-# round apart by an amount that grows with cond(L) and n.  The widest gap seen
-# was 5.5e-7 of the value, for mq:q=1 with links of weight 1e8 at n = 80-160,
-# before that measure moved to a closed form (which greedy does not prune).
+# eigendecomposition, as the scores do, except the links that the quadrature
+# leaves to a downdated pseudo-inverse, and the routes round apart by an
+# amount that grows with cond(L) and n.  Over n = 34-160, with links of weight
+# 1 and 1e8 and beside a 1e8 link, no bound passed an eigenbasis score by more
+# than 1.7e-16 of the value (mq:q=0); the downdated route errs by up to 1e-7
+# (mq:q=0.5, links of weight 1e8).
 SLACK = 1e-6
-# Greedy's bound levels: the diagonal, then pinchings that couple the 32, 64,
-# then 128 eigen-directions a link moves most, then the exact score; a batch
-# holds up to CHUNK links at the first level (the walk: see _pruned_scores).
-# Over seeds 0-39, a grow-spectral-n300 solve (n = 300, p = 1,000, k = 2)
-# computes them for 40-91, 8-24 and 2-9 links (0.03, 0.09 and 0.35 ms a
-# link, against 2 ms for an exact score), then scores 2-4 links.  The 64
-# level spares most 128-block bounds, and batches that mix levels need fewer
-# calls, each of which costs about one 32-block bound in overhead; both make
-# a solve's time depend less on how many links its bounds reach.
-BLOCKS = (32, 64, 128)
+# Greedy scores the links its bound cannot rule out in ascending bound order,
+# CHUNK at first and then, per batch, as many as it has scored so far (at
+# most ROWS): a step that needs a few exact scores computes few, and one
+# that needs hundreds (hankel) makes few calls.
 CHUNK = 16
 # Links bounded, or given their root resistances, in one pass: their (ROWS, n)
 # temporaries stay near 300 KB each at n = 300, where all 1,000 candidates at
@@ -98,11 +97,11 @@ class CandidateSet:
     the spectra of all those subsets (:meth:`_subset_spectra`); and, on a
     small state, each link's single-link inverse spectrum
     (:meth:`_single_spectra`) and the state grown by each link picked from
-    it (:meth:`_grown`).  A state is small where one exact call scores all p
-    links (:func:`_one_call`: n - 1 <= BLOCKS[0], so no pinching level, and
-    p <= CHUNK, or p = 1), so a greedy step there computes no bound.  Solves
-    on a small path visited before, for any measure, by greedy or
-    linearized, call no LAPACK routine and grow no state.
+    it (:meth:`_grown`).  A state is small where one stacked call scores all
+    p links (:meth:`_keeps_steps`: p <= CHUNK on at most 33 nodes, or
+    p = 1), so a greedy step there computes no bound.  Solves on a small
+    path visited before, for any measure, by greedy or linearized, call no
+    LAPACK routine and grow no state.
     """
 
     links: tuple[tuple[Edge, float], ...]
@@ -133,14 +132,13 @@ class CandidateSet:
         arrays."""
         return weakref.WeakKeyDictionary()
 
-    def __getstate__(self):  # the memo's weak references do not pickle
-        return {key: v for key, v in self.__dict__.items() if key != "_memo"}
+    def __getstate__(self):
+        """Only the links: the memo's weak references do not pickle, and the
+        arrays are rebuilt read-only at the first read."""
+        return {"links": self.links}
 
     def _record(self, state: LaplacianState) -> _StateRecord:
-        record = self._memo.get(state)
-        if record is None:
-            record = self._memo.setdefault(state, _StateRecord())
-        return record
+        return self._memo.get(state) or self._memo.setdefault(state, _StateRecord())
 
     def _root_resistances(self, state: LaplacianState) -> np.ndarray:
         """Read-only (3, p) array: every link's resistances under the state's
@@ -175,19 +173,18 @@ class CandidateSet:
         return kept[:k + 1]
 
     def _keeps_steps(self, state: LaplacianState) -> bool:
-        """Whether the state is small, so its record keeps single-link
-        spectra and grown states."""
-        return _one_call(state.n, self.p)
+        """Whether the state is small: one link, or at most CHUNK links on at
+        most 33 nodes.  Greedy scores all of a small state's links in one
+        stacked call, with no bound, and its record keeps single-link spectra
+        and grown states."""
+        return self.p == 1 or (self.p <= CHUNK and state.n <= 33)
 
     def _single_spectra(self, state: LaplacianState, idx: np.ndarray) -> np.ndarray:
         """(idx.size, n - 1) array: row b is the state's nonzero inverse
         spectrum after adding link idx[b] alone
-        (:func:`downdated_inverse_spectra`).  On a small state each link's
+        (:func:`downdated_inverse_spectra`), on a small state: each link's
         row is computed once and kept read-only, the rows missing by one
-        stacked call (a row does not depend on the rows stacked with it);
-        elsewhere all are computed afresh."""
-        if not self._keeps_steps(state):
-            return downdated_inverse_spectra(state, *(a[idx] for a in self.arrays))
+        stacked call (a row does not depend on the rows stacked with it)."""
         rows, links = self._record(state).singles, idx.tolist()
         missing = [link for link in links if link not in rows]
         if missing:
@@ -344,121 +341,150 @@ def _link_arrays(links: Iterable[tuple[Edge, float]]) -> tuple[np.ndarray, ...]:
     return rows, cols, ws
 
 
-def _one_call(n: int, count: int) -> bool:
-    """Whether one exact call holds `count` links on an n-node state, so
-    that no bound could spare one: a lone link, or at most CHUNK links
-    where no pinching level exists (n - 1 <= BLOCKS[0])."""
-    return count == 1 or (count <= CHUNK and n - 1 <= BLOCKS[0])
-
-
 def _cut(best: float) -> float:
     """The highest lower bound that cannot rule a candidate out: the best
     score's tie band plus SLACK."""
     return best + (TIE_REL + SLACK) * max(1.0, abs(best))
 
 
-def _pinched_bounds(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarray, ...],
-                    idx: np.ndarray, block: int) -> np.ndarray:
-    """A lower bound on the post-addition value of each link idx.
+def _diagonal_bounds(m: MeasureSpec, state: LaplacianState, links: tuple[np.ndarray, ...],
+                     idx: np.ndarray) -> np.ndarray:
+    """A lower bound on the post-addition value of each link idx, ROWS links
+    a pass.
 
     In the eigenbasis of L, adding w L_e adds w z z^T with z = V^T (e_i - e_j).
-    The bound is the measure at the spectrum of a pinching of Lambda + w z z^T:
-    the `block` directions with the largest z_k^2 kept as one block, every
-    other direction k as the 1x1 block lambda_k + w z_k^2 (block = 0 is the
-    diagonal).  The true spectrum majorizes a pinching's (Schur-Horn, and Ky
-    Fan for blocks), and every measure is a convex symmetric function of the
-    spectrum, so the bound holds; the more the block couples, the tighter it
-    is.  An infinite bound (gamma below its threshold on the bound's
-    spectrum) is returned as -inf: it rules nothing out.
+    The bound is the measure at the diagonal lambda_k + w z_k^2 of Lambda +
+    w z z^T, which the true spectrum majorizes (Schur-Horn); every measure
+    is a convex symmetric function of the spectrum, so the bound holds.  An
+    infinite bound (gamma below its threshold on the diagonal) is returned
+    as -inf: it rules nothing out.
     """
     if idx.size > ROWS:
-        return np.concatenate([_pinched_bounds(m, state, links, idx[start:start + ROWS], block)
+        return np.concatenate([_diagonal_bounds(m, state, links, idx[start:start + ROWS])
                                for start in range(0, idx.size, ROWS)])
     rows, cols, ws = (a[idx] for a in links)
-    lams = state.nonzero_eigvals
     Z = state.eigvecs[rows, 1:] - state.eigvecs[cols, 1:]
-    Z2 = Z * Z
-    spectra = lams + ws[:, None] * Z2
-    block = min(block, lams.size)
-    if block:
-        sel = np.argpartition(-Z2, block - 1, axis=1)[:, :block]
-        lam_s = np.sort(lams[sel], axis=1)
-        zs = np.take_along_axis(Z, sel, axis=1)
-        A = ws[:, None, None] * zs[:, :, None] * zs[:, None, :]
-        A[:, np.arange(block), np.arange(block)] += lams[sel]
-        # Raise the computed eigenvalues by eigvalsh's error bound, capped by
-        # interlacing (nu_k <= lambda_k+1, nu_block <= lambda_block + w |z_S|^2),
-        # so that no eigenvalue sits below the true one.
-        top = lam_s[:, -1] + ws * np.sum(zs * zs, axis=1)
-        cap = np.concatenate([lam_s[:, 1:], top[:, None]], axis=1)
-        err = (block * np.finfo(float).eps) * top
-        nus = np.minimum(np.linalg.eigvalsh(A) + err[:, None], cap)
-        np.put_along_axis(spectra, sel, nus, axis=1)
-    bounds = spectral_value(m, spectra, state.n)
+    bounds = spectral_value(m, state.nonzero_eigvals + ws[:, None] * (Z * Z), state.n)
     return np.where(bounds < math.inf, bounds, -math.inf)
 
 
-def _pruned_scores(m: MeasureSpec, state: LaplacianState, candidates: CandidateSet,
-                   idx: np.ndarray) -> np.ndarray:
-    """Exact scores of the candidate links idx that the lower bounds cannot
-    rule out; the rest read inf.
+def _secular_lambda2(lams: np.ndarray, Z2: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """lambda_2 of Lambda + w z z^T for each row of Z2 = z^2 and ws = w, with
+    Lambda = diag(lams): the state's lambda_2 after adding each link.
 
-    An exact score is the measure at the link's downdated inverse spectrum
-    (:meth:`CandidateSet._single_spectra`).  When one exact call holds
-    every link given (:func:`_one_call`), they are scored in that call,
-    with no bound and no heap.
-
-    Otherwise the levels, built here from n, are widths: the diagonal bound
-    (0), the BLOCKS pinchings (:func:`_pinched_bounds`) up to the first that
-    couples every direction, and the exact score, of width CHUNK * BLOCKS[0]
-    after pinchings and BLOCKS[0] without.  So at most 33 nodes get no
-    pinching (one would cost an exact score), 34-65 nodes 32 and a full
-    block, 66-129 nodes 32, 64 and a full block, more nodes 32, 64 and 128;
-    a grown state is decomposed only for its bounds.
-
-    The walk is best-first (lazy greedy, Minoux 1978) over a heap of
-    (bound, position, level) entries, each link starting at its diagonal
-    bound (-inf for at most CHUNK links).  While the lowest pending bound is
-    within the best score's :func:`_cut`, it and the entries after it,
-    lowest first while within the cut and of its kind (bound or exact),
-    form one batch until their widths would pass CHUNK * BLOCKS[0]: CHUNK
-    links at the first level, fewer deeper, one exact score after pinchings
-    and CHUNK without.  Each level of a batch gets its next bound, or its
-    score, in one call.  So a link is scored only while its bound is the
-    lowest pending and could still tie the best score; the cut only falls,
-    so the walk ends with every link left unscored above it, outside the
-    tie band.
+    It is lambda_2 + x, x the root in [0, min(lambda_3 - lambda_2, w z_2^2)]
+    of 1/w - z_2^2/x + sum_{k>2} z_k^2/(d_k - x), d_k = lambda_k - lambda_2
+    (Golub 1973; Bunch, Nielsen and Sorensen 1978), kept as an offset from
+    the pole lambda_2 so that it keeps its relative accuracy.  The interval
+    is empty where z_2 = 0 or lambda_3 = lambda_2, and lambda_2 stays.
+    T(x) = z_2^2 / (1/w + sum_{k>2} z_k^2/(d_k - x)) falls as x rises and
+    meets x at the root, so each evaluation brackets the root between x and
+    T(x).  The steps alternate Newton on x - T(x), when it lands inside the
+    bracket, with bisection, which at least halves the bracket every two
+    steps.  A row stops once its step is within 2 eps (lambda_2 + x); it
+    takes the same steps in any batch.
     """
-    if _one_call(state.n, idx.size):
+    gaps, z2, rest = lams[1:] - lams[0], Z2[:, 0], Z2[:, 1:]
+    lo, hi = np.zeros(ws.size), np.minimum(gaps[0], ws * z2)
+    eps = 2.0 * np.finfo(float).eps
+    x = np.where(hi > eps * lams[0], 0.5 * hi, 0.0)
+    live, newton = np.flatnonzero(x), True
+    while live.size:
+        at, r = x[live], 1.0 / (gaps - x[live, None])
+        zr = rest[live] * r
+        T = z2[live] / (1.0 / ws[live] + np.sum(zr, axis=1))
+        lo[live] = np.maximum(lo[live], np.minimum(at, T))
+        hi[live] = np.minimum(hi[live], np.maximum(at, T))
+        # Newton's step: T'(x) = -T(x)^2 sum_{k>2} z_k^2/(d_k - x)^2 / z_2^2
+        step = at - (at - T) / (1.0 + T * T * np.sum(zr * r, axis=1) / z2[live])
+        x[live] = np.where(newton & (lo[live] < step) & (step < hi[live]), step,
+                           0.5 * (lo[live] + hi[live]))
+        live, newton = live[np.abs(x[live] - at) > eps * (lams[0] + x[live])], not newton
+    return lams[0] + x
+
+
+def _contour_scores(m: MeasureSpec, lams: np.ndarray, Z2: np.ndarray, ws: np.ndarray,
+                    wmax: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The measure, a sum of its summand f over the spectrum, after adding
+    each link (z^2, w) = (Z2, ws) row, and whether the trapezoid rule
+    resolved it; no link is resolved where the rule finds no room.
+
+    The link changes the sum by (1/2 pi i) times the closed integral of
+    f g'/g, g(zeta) = 1 + w sum_k z_k^2 / (lambda_k - zeta) the secular
+    function, whose zeros are the grown spectrum (the argument principle),
+    around every spectrum that one link of weight at most wmax can grow from
+    lams: [lambda_2, lambda_n + 2 wmax] (|z|^2 = 2).  The contour is an
+    ellipse in u = log(zeta) with its foci at that interval's ends,
+    u = c + d cos(theta - i eta/2) (Trefethen and Weideman 2014), and eta is
+    that of the confocal ellipse through the nearest singularity of f(e^u):
+    the line Re zeta = 0, |Im u| = pi/2, or gamma's branch point 1/gamma.
+    The rule's error falls as exp(-N eta/2) with N nodes, and N is the even
+    count at which that reaches TIE_REL; past 1,024 nodes (gamma with
+    gamma lambda_2 below about 1.003) the rule gives way.  g and g' at the nodes
+    are one product of z^2 with [R, R^2], R[k, j] = 1/(lambda_k - zeta_j),
+    read as real pairs, for the nodes theta = pi j / N,
+    j = 0..N, of the rule of 2N nodes that lie on or above the real axis
+    (those below give conjugate terms); the N-node rule is every other one.
+    A link is resolved where the two rules differ by at most sqrt(eps) of
+    the sum: the 2N rule squares the N rule's error, so it is then at
+    rounding level.
+    """
+    lo, hi = math.log(lams[0]), math.log(lams[-1] + 2.0 * wmax)
+    c, d = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    eta = math.asinh(0.5 * math.pi / d)
+    if m.kind == "gamma":  # the branch point 1/gamma must lie left of lambda_2
+        ratio = (c + math.log(m.param)) / d
+        eta = min(eta, math.acosh(ratio)) if ratio > 1.0 else 0.0
+    if -math.log(TIE_REL) > 512.0 * eta:
+        return np.zeros(ws.size), np.zeros(ws.size, dtype=bool)
+    N = 2 * math.ceil(-math.log(TIE_REL) / eta)
+    theta = np.pi * np.arange(N + 1) / N - 0.5j * eta
+    zeta = np.exp(c + d * np.cos(theta))
+    R = 1.0 / (lams[:, None] - zeta)
+    weights = summand(m, zeta) * zeta * d * np.sin(theta) / (-2j * N)  # f zeta u' / (2N i)
+    weights[1:-1] *= 2.0
+    # sum_k z_k^2 R[k] and sum_k z_k^2 R[k]^2 at every node, one product a row
+    S = (Z2[:, None, :] @ np.hstack([R, R * R]).view(float))[:, 0].view(complex)
+    terms = (ws[:, None] * S[:, N + 1:] / (1.0 + ws[:, None] * S[:, :N + 1]) * weights).real
+    fine, coarse = np.sum(terms, axis=1), 2.0 * np.sum(terms[:, ::2], axis=1)
+    total = np.sum(summand(m, lams)) + fine
+    return from_sum(m, total, n), np.abs(coarse - fine) <= np.finfo(float).eps ** 0.5 * abs(total)
+
+
+def _exact_scores(m: MeasureSpec, state: LaplacianState, candidates: CandidateSet,
+                  idx: np.ndarray) -> np.ndarray:
+    """Post-addition value of each candidate link idx; a link's score does
+    not depend on the links scored with it.
+
+    On a small state it is the measure at the link's downdated inverse
+    spectrum (:meth:`CandidateSet._single_spectra`).  Elsewhere it is read
+    off the state's eigenbasis (lambda, V) and z^2 = (V_i - V_j)^2: the
+    max-eigenvalue measures read lambda_2 (:func:`_secular_lambda2`), as
+    gamma does below its threshold to tell the links that leave it infinite,
+    and the sums take :func:`_contour_scores`.  A link that these leave
+    unresolved is scored on its downdated inverse spectrum
+    (:func:`downdated_inverse_spectra`), as is every link where the
+    eigendecomposition, whose eigenvalues are good to about eps lambda_n,
+    may not resolve lambda_2 to TIE_REL (eps lambda_n > TIE_REL lambda_2):
+    beside a link far heavier than the rest, or on a path of more than about
+    100 nodes.
+    """
+    if candidates._keeps_steps(state):
         return companion_value(m, candidates._single_spectra(state, idx), state.n)
-    links = candidates.arrays
-    short = sum(block < state.n - 1 for block in BLOCKS)
-    widths = (0, *BLOCKS[:short + 1], CHUNK * BLOCKS[0]) if short else (0, BLOCKS[0])
-    last = len(widths) - 1
-    scores = np.full(idx.size, math.inf)
-    best = math.inf
-    if idx.size > CHUNK:
-        diagonal = _pinched_bounds(m, state, links, idx, widths[0])
-    else:  # one batch, which the diagonal bound would neither order nor filter
-        diagonal = np.full(idx.size, -math.inf)
-    heap = [(bound, pos, 1) for pos, bound in enumerate(diagonal.tolist())]
-    heapq.heapify(heap)
-    while heap and heap[0][0] <= _cut(best):
-        cut, scoring, width, batches = _cut(best), heap[0][2] == last, 0, {}
-        while (heap and heap[0][0] <= cut and (heap[0][2] == last) == scoring
-               and (not batches or width + widths[heap[0][2]] <= CHUNK * BLOCKS[0])):
-            _, pos, level = heapq.heappop(heap)
-            batches.setdefault(level, []).append(pos)
-            width += widths[level]
-        for level, batch in batches.items():
-            if level == last:
-                spectra = candidates._single_spectra(state, idx[batch])
-                scores[batch] = companion_value(m, spectra, state.n)
-                best = min(best, float(scores[batch].min()))
-            else:
-                bounds = _pinched_bounds(m, state, links, idx[batch], widths[level])
-                for bound, pos in zip(bounds.tolist(), batch):
-                    heapq.heappush(heap, (bound, pos, level + 1))
+    (rows, cols, ws), lams = (a[idx] for a in candidates.arrays), state.nonzero_eigvals
+    Z2 = np.square(state.eigvecs[rows, 1:] - state.eigvecs[cols, 1:])
+    if np.finfo(float).eps * lams[-1] > TIE_REL * lams[0]:
+        scores, exact = np.zeros(idx.size), np.zeros(idx.size, dtype=bool)
+    elif not m.differentiable:
+        return from_lambda2(m, _secular_lambda2(lams, Z2, ws))
+    elif m.kind == "gamma" and m.param * lams[0] < 1.0:
+        scores, exact = np.full(idx.size, math.inf), m.param * _secular_lambda2(lams, Z2, ws) < 1.0
+    else:
+        scores, exact = _contour_scores(m, lams, Z2, ws, candidates.arrays[2].max(), state.n)
+    if not exact.all():
+        rest = np.flatnonzero(~exact)
+        scores[rest] = companion_value(
+            m, downdated_inverse_spectra(state, rows[rest], cols[rest], ws[rest]), state.n)
     return scores
 
 
@@ -561,7 +587,7 @@ class _Resistances:
 
 
 class _Exact:
-    """Exact scores of the spectral measures (:func:`_pruned_scores`) on the
+    """Exact scores of the spectral measures (:func:`_exact_scores`) on the
     state grown so far, stepped pick by pick through the candidate set
     (:meth:`CandidateSet._grown`): a rank-one update between picks only."""
 
@@ -570,8 +596,27 @@ class _Exact:
 
     def scores(self, idx: np.ndarray) -> np.ndarray:
         """Post-addition measure value of each candidate idx that the lower
-        bounds cannot rule out; the rest read inf."""
-        return _pruned_scores(self.m, self.state, self.candidates, idx)
+        bound cannot rule out; the rest read inf.
+
+        A small state scores every link, in one call and with no bound.
+        Elsewhere each link gets its diagonal bound (:func:`_diagonal_bounds`),
+        and links are scored in ascending bound order (stable), CHUNK at
+        first and then as many as scored so far (at most ROWS) a batch, each
+        batch holding only links whose bound lies within the :func:`_cut` of
+        the best score so far.  The cut only falls, so the walk ends with
+        every link left unscored above it, outside the tie band.
+        """
+        if self.candidates._keeps_steps(self.state):
+            return _exact_scores(self.m, self.state, self.candidates, idx)
+        bounds = _diagonal_bounds(self.m, self.state, self.candidates.arrays, idx)
+        order = np.argsort(bounds, kind="stable")
+        scores, best, start = np.full(idx.size, math.inf), math.inf, 0
+        while start < idx.size and bounds[order[start]] <= _cut(best):
+            within = int(np.searchsorted(bounds[order], _cut(best), side="right"))
+            batch = order[start:min(within, start + min(max(CHUNK, start), ROWS))]
+            scores[batch] = _exact_scores(self.m, self.state, self.candidates, idx[batch])
+            best, start = min(best, float(scores[batch].min())), start + batch.size
+        return scores
 
     def add(self, link: int, value: float) -> None:
         """Add candidate `link`, whose score was `value`."""
@@ -583,9 +628,7 @@ def _scorer(m: MeasureSpec, state: LaplacianState, candidates: CandidateSet,
     """Greedy's and linearized's scorer at a state whose value is `value`:
     carried resistances for a closed form, exact scores for the rest."""
     form = _CLOSED_FORMS.get(m)
-    if form is None:
-        return _Exact(m, state, candidates)
-    return _Resistances(form, state, candidates, value)
+    return _Resistances(form, state, candidates, value) if form else _Exact(m, state, candidates)
 
 
 def _argmin_lex(scores) -> tuple[int, int]:
@@ -621,7 +664,7 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
     Each step applies the tie rule to the scores of the candidates left
     (:func:`_scorer`).  The closed forms score every candidate from carried
     resistances and grow no state; every other measure scores exactly only
-    the links its bounds cannot rule out, every other one lying outside the
+    the links its bound cannot rule out, every other one lying outside the
     tie band, and grows the state rank-one between picks only: k - 1
     updates in all.  So the picks, values and `tie_breaks` are those of
     scoring every candidate left with the same scorer.  On a small state
@@ -634,9 +677,7 @@ def greedy(state: LaplacianState, candidates: CandidateSet, k: int,
     values = [evaluate(m, state)]
     scorer = _scorer(m, state, candidates, values[0])
     left = np.arange(candidates.p)  # unpicked links, ascending
-    chosen: list[tuple[Edge, float]] = []
-    elapsed: list[float] = []
-    tie_breaks = 0
+    chosen, elapsed, tie_breaks = [], [], 0
 
     for step in range(k):
         scores = scorer.scores(left)

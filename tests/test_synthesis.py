@@ -81,6 +81,35 @@ def test_candidate_arrays_are_read_only_and_safe_to_share():
                 (repr(b.chosen), repr(b.values), b.tie_breaks), (solver.__name__, spec)
 
 
+def test_pickled_and_copied_arrays_stay_read_only():
+    """A state's matrix, eigenvalues, eigenvectors and pseudo-inverse, and a
+    candidate set's arrays, are read-only and safe to share; a pickled or
+    deep-copied state or candidate set keeps them so, with equal contents
+    (they came back writable), and a candidate set whose arrays were never
+    read builds them read-only on the clone's first read."""
+    import copy
+    import pickle
+    rng = np.random.default_rng(239)
+    root = sg.build_laplacian(random_connected(rng, 12))
+    root.pinv  # formed now
+    c = random_candidates(rng, 12, 20)
+    states = (root, root.with_edge(*c.links[0]))  # a grown state carries P, not its spectrum
+    for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        for state in states:
+            again = clone(state)
+            for name in ("matrix", "_pinv", "_eigvals", "_eigvecs"):
+                a, b = getattr(state, name), getattr(again, name)
+                assert (a is None and b is None) or (np.array_equal(a, b) and not b.flags.writeable), name
+            assert not again.eigvals.flags.writeable and not again.eigvecs.flags.writeable
+            assert not again.pinv.flags.writeable
+        for cands in (c, sg.CandidateSet(c.links)):
+            again = clone(cands)
+            assert again == cands
+            assert [a.flags.writeable for a in again.arrays] == [False] * 3
+            assert all(np.array_equal(a, b) for a, b in zip(again.arrays, c.arrays))
+    assert "arrays" in vars(c)  # read by the loop above, then rebuilt by each clone
+
+
 # --- closed forms ----------------------------------------------------------------
 
 
@@ -328,11 +357,12 @@ def test_greedy_mq1_lowers_by_twice_each_weight():
 def full_scan_greedy(state, candidates, k, m):
     """Reference greedy: every remaining candidate scored exactly at every step.
 
-    The spectral measures score on a state grown by with_edge; the closed
-    forms apply their drop to resistances read off P^1..P^3, which
-    grown_powers carries across picks."""
+    The spectral measures score on a state grown by with_edge, by greedy's
+    own exact scorer (_exact_scores) with no bound; the closed forms apply
+    their drop to resistances read off P^1..P^3, which grown_powers carries
+    across picks."""
     from specgrow.laplacian import pair_form
-    from specgrow.synthesis import _CLOSED_FORMS, _argmin_lex, _drop, _link_arrays
+    from specgrow.synthesis import _CLOSED_FORMS, _argmin_lex, _drop, _exact_scores, _link_arrays
     form = _CLOSED_FORMS.get(m)
     powers = {q: pinv_power(state, q) for q in (1, 2, 3)} if form is not None else None
     links = _link_arrays(candidates.links)
@@ -341,7 +371,7 @@ def full_scan_greedy(state, candidates, k, m):
     for step in range(k):
         rows, cols, ws = (a[remaining] for a in links)
         if form is None:
-            scores = exact_scores(m, state, rows, cols, ws)
+            scores = _exact_scores(m, state, candidates, remaining)
         else:
             stat = values[-1] if form.power is None else float(np.trace(powers[form.power]))
             R = [pair_form(P, rows, cols) for P in powers.values()]
@@ -394,8 +424,8 @@ def test_pruned_greedy_equals_full_scan():
         s = sg.build_laplacian(g)
         for k in (1, 3, 5):
             check(s, sg.CandidateSet.complete(g.n), k)
-    # more eigen-directions than the largest block couples, more candidates than a chunk
-    n = max(synthesis.BLOCKS) + 12
+    # a larger graph, more candidates than a first batch
+    n = 140
     s = sg.build_laplacian(random_connected(rng, n))
     triples = [(i, j, w) for (i, j), w in random_candidates(rng, n, 3 * synthesis.CHUNK).links]
     specs = ("tau:t=1", "zeta:q=3", "hankel", "mq:q=0.9")
@@ -505,74 +535,80 @@ def test_carried_values_at_heavy_weights_stay_within_the_known_error():
 
 
 def test_greedy_prunes_candidates_a_bound_rules_out(monkeypatch):
+    """Greedy scores exactly fewer than p/4 links a step on 120 nodes.  This
+    counted companion_value calls until the exact scores moved to the
+    eigenbasis, which calls it only for the links its quadrature leaves; it
+    now counts the links each call of the exact scorer holds."""
     from specgrow import synthesis
-    calls = []
-    companion_value = synthesis.companion_value
+    scored = []
+    exact_scores_ = synthesis._exact_scores
 
-    def counting(*args):
-        calls.append(1)
-        return companion_value(*args)
+    def counting(m, state, candidates, idx):
+        scored.append(idx.size)
+        return exact_scores_(m, state, candidates, idx)
 
-    monkeypatch.setattr(synthesis, "companion_value", counting)
+    monkeypatch.setattr(synthesis, "_exact_scores", counting)
     rng = np.random.default_rng(163)
     s = sg.build_laplacian(random_connected(rng, 120))
     c = random_candidates(rng, 120, 400)
     k = 3
     sg.greedy(s, c, k, sg.parse_measure("tau:t=1"))
     # a full scan scores p - t candidates at step t; pruning, under p/4 a step
-    assert 0 < len(calls) < k * c.p / 4
+    assert 0 < sum(scored) < k * c.p / 4
 
 
 def test_greedy_scores_only_links_whose_deepest_bound_ties_the_step_best(monkeypatch):
-    """Best-first: a link is scored exactly only if its deepest bound lies within
-    the cut of the best score its step ends with, and no bound is computed
-    for zero links."""
+    """The diagonal bound is greedy's one bound level, so its deepest.  Each
+    step scores a prefix of the links left in ascending bound order (stable),
+    in nonempty batches whose every bound lies within the cut of the best
+    score of the batches before it, and stops at the first link whose bound
+    lies above the cut of the step's best.  This checked, before the bound
+    levels became one, that each scored link's deepest pinching lay within
+    the cut of its step's final best."""
     from specgrow import synthesis
-    scored, sizes = [], []
-    inverse_spectra, pinched_bounds = synthesis.downdated_inverse_spectra, synthesis._pinched_bounds
+    batches = []
+    exact_scores_ = synthesis._exact_scores
 
-    def recording_spectra(state, rows, cols, ws):
-        spectra = inverse_spectra(state, rows, cols, ws)
-        scores = sg.companion_value(m, spectra, state.n)
-        scored.extend(zip([state] * len(scores), rows.tolist(), cols.tolist(), ws.tolist(),
-                          scores.tolist()))
-        return spectra
+    def recording(m, state, candidates, idx):
+        scores = exact_scores_(m, state, candidates, idx)
+        batches.append((state, idx.tolist(), scores.tolist()))
+        return scores
 
-    def recording_bounds(m, state, links, idx, block):
-        sizes.append(idx.size)
-        return pinched_bounds(m, state, links, idx, block)
-
-    monkeypatch.setattr(synthesis, "downdated_inverse_spectra", recording_spectra)
-    monkeypatch.setattr(synthesis, "_pinched_bounds", recording_bounds)
+    monkeypatch.setattr(synthesis, "_exact_scores", recording)
     rng = np.random.default_rng(163)
     s = sg.build_laplacian(random_connected(rng, 120))
     c = random_candidates(rng, 120, 400)
-    deepest = next((b for b in synthesis.BLOCKS if b >= s.n - 1), synthesis.BLOCKS[-1])
     k = 8
-    # hankel's bounds stay loose, so a walk that scores a link before its bound is
-    # the lowest pending scores links that the step's final best rules out
     for spec in ("tau:t=1", "hankel"):
         m = sg.parse_measure(spec)
-        scored.clear()
-        sizes.clear()
-        sg.greedy(s, c, k, m)
-        assert min(sizes) > 0, spec
+        batches.clear()
+        res = sg.greedy(s, c, k, m)
         steps = {}
-        for record in scored:
-            steps.setdefault(id(record[0]), []).append(record)
+        for state, idx, scores in batches:
+            steps.setdefault(id(state), (state, []))[1].append((idx, scores))
         assert len(steps) == k, spec
-        for records in steps.values():
-            cut = synthesis._cut(min(score for *_, score in records))
-            for state, i, j, w, _ in records:
-                links = synthesis._link_arrays([((i, j), w)])
-                bound = pinched_bounds(m, state, links, np.arange(1), deepest)[0]
-                assert bound <= cut, (spec, i, j, bound, cut)
+        left = np.arange(c.p)
+        for (state, step), pick in zip(steps.values(), res.chosen):
+            bounds = synthesis._diagonal_bounds(m, state, c.arrays, left)
+            bound = dict(zip(left.tolist(), bounds.tolist()))
+            order = left[np.argsort(bounds, kind="stable")].tolist()
+            scored = [link for idx, _ in step for link in idx]
+            assert scored == order[:len(scored)], spec
+            best = math.inf
+            for idx, scores in step:
+                assert idx and all(bound[link] <= synthesis._cut(best) for link in idx), spec
+                best = min(best, *scores)
+            if len(scored) < len(order):
+                assert bound[order[len(scored)]] > synthesis._cut(best), spec
+            left = left[left != c.links.index(pick)]
 
 
 def test_stacked_spectral_scores_equal_single_link_calls_bit_for_bit():
     """A link's exact score does not depend on the links stacked with it, at
-    extreme weights, on a grown state and at +inf; it equals the per-link
-    downdate P - c u u^T in with_edge's arithmetic, one eigvalsh each."""
+    extreme weights, on a grown state and at +inf; on small graphs it equals
+    the per-link downdate P - c u u^T in with_edge's arithmetic, one
+    eigvalsh each, and on 40 nodes greedy's eigenbasis score of a link alone
+    equals its score in a batch."""
     from specgrow import synthesis
 
     def one_link(m, state, i, j, w):
@@ -584,8 +620,7 @@ def test_stacked_spectral_scores_equal_single_link_calls_bit_for_bit():
 
     rng = np.random.default_rng(179)
     infinite = 0
-    for _ in range(3):
-        n = int(rng.integers(5, 13))
+    for n in [int(rng.integers(5, 13)) for _ in range(3)] + [40]:
         root = sg.build_laplacian(random_connected(rng, n))
         grown = root.with_edge(*random_candidates(rng, n, 1).links[0])
         c = random_candidates(rng, n, 12)
@@ -593,6 +628,14 @@ def test_stacked_spectral_scores_equal_single_link_calls_bit_for_bit():
         for state in (root, grown):
             for scale in (1e-8, 1.0, 1e8):
                 for m in pruning_suite(state):
+                    if n == 40:  # greedy's exact scores read the eigenbasis there
+                        scaled = sg.CandidateSet.from_triples(zip(rows, cols, scale * ws))
+                        idx = np.arange(c.p)
+                        batch = synthesis._exact_scores(m, state, scaled, idx)
+                        single = [float(synthesis._exact_scores(m, state, scaled, idx[b:b + 1])[0])
+                                  for b in range(c.p)]
+                        assert repr(batch.tolist()) == repr(single), (m.label, scale)
+                        continue
                     batch = exact_scores(m, state, rows, cols, scale * ws)
                     single = [float(exact_scores(
                         m, state, rows[b:b + 1], cols[b:b + 1], scale * ws[b:b + 1])[0])
@@ -606,17 +649,23 @@ def test_stacked_spectral_scores_equal_single_link_calls_bit_for_bit():
 
 
 def test_reported_spectral_values_are_the_measure_of_the_grown_pseudo_inverse():
-    """Greedy and linearized report, for each spectral pick, the measure of
-    the pseudo-inverse that the state grown by that pick carries, to the
-    last bit: the exact scores and with_edge share one downdate."""
+    """On a small state greedy and linearized report, for each spectral pick,
+    the measure of the pseudo-inverse that the state grown by that pick
+    carries, to the last bit: the exact scores and with_edge share one
+    downdate.  Elsewhere the scores read the eigenbasis (a contour integral,
+    or lambda_2 for hankel, zeta:q=inf and hp:p=inf), and the values agree
+    with that measure within 1e-13 relative.  Before the eigenbasis scores,
+    this held bit for bit on every state; the eight instances drawn here
+    were all small, so the two larger ones are new."""
     from specgrow import synthesis
     rng = np.random.default_rng(211)
-    checked = 0
-    for _ in range(8):
-        n = int(rng.integers(5, 40))
+    checked = {True: 0, False: 0}
+    for n in [int(rng.integers(5, 40)) for _ in range(8)] + [40, 60]:
         root = sg.build_laplacian(random_connected(rng, n))
         c = random_candidates(rng, n, 12)
-        for m in kind_suite(root):
+        small = c._keeps_steps(root)
+        suite = kind_suite(root) + [sg.parse_measure(t) for t in ("zeta:q=inf", "hp:p=inf")] * (not small)
+        for m in suite:
             if m in synthesis._CLOSED_FORMS:
                 continue
             solvers = (sg.greedy, sg.linearized) if m.differentiable else (sg.greedy,)
@@ -627,9 +676,116 @@ def test_reported_spectral_values_are_the_measure_of_the_grown_pseudo_inverse():
                     state = state.with_edge(*edge_weight)
                     mus = np.maximum(np.linalg.eigvalsh(state.pinv)[1:], 0.0)
                     expected = float(sg.companion_value(m, mus[None], n)[0])
-                    assert repr(value) == repr(expected), (n, m.label, solver.__name__)
-                    checked += 1
-    assert checked == 288
+                    if small:
+                        assert repr(value) == repr(expected), (n, m.label, solver.__name__)
+                    else:
+                        assert value == pytest.approx(expected, rel=1e-13, abs=0.0), \
+                            (n, m.label, solver.__name__)
+                    checked[small] += 1
+    assert checked == {True: 288, False: 2 * 11 * 4}  # 11 runs of 4 picks a graph
+
+
+def test_secular_lambda2_matches_eigvalsh():
+    """lambda_2 after adding each link alone, read off the state's eigenbasis
+    (synthesis._secular_lambda2), against eigvalsh(L + w L_e) within its
+    backward error, n eps lambda_n: on ring 8, K4 and a 6-node path with
+    complete candidates, where lambda_2 repeats (ring, K4) and so stays; and
+    on 40 nodes beside a 1e8 base link."""
+    from specgrow.graphs import add_link
+    from specgrow.synthesis import _secular_lambda2
+    rng = np.random.default_rng(233)
+    heavy = random_connected(rng, 40)
+    heavy = heavy.with_edge(next(iter(heavy.edges)), 1e8)
+    cases = [(ring_graph(8), sg.CandidateSet.complete(8)), (k4(), sg.CandidateSet.complete(4)),
+             (path_graph(6), sg.CandidateSet.complete(6)), (heavy, random_candidates(rng, 40, 60))]
+    for g, c in cases:
+        s = sg.build_laplacian(g)
+        rows, cols, ws = c.arrays
+        V = s.eigvecs[:, 1:]
+        lam2 = _secular_lambda2(s.nonzero_eigvals, np.square(V[rows] - V[cols]), ws)
+        for ((i, j), w), got in zip(c.links, lam2.tolist()):
+            L = np.array(s.matrix)
+            add_link(L, i, j, w)
+            vals = np.linalg.eigvalsh(L)
+            assert abs(got - vals[1]) <= g.n * np.finfo(float).eps * vals[-1], (g.n, i, j)
+
+
+def test_greedy_max_eigenvalue_measures_read_the_secular_root(monkeypatch):
+    """hankel, zeta:q=inf and hp:p=inf on 40 nodes at unit weights: greedy
+    scores every link it does not rule out by lambda_2's secular root, with
+    no downdated inverse spectrum, and each value matches a fresh build of
+    the grown graph within 1e-13 relative."""
+    from specgrow import synthesis
+
+    def no_spectra(*args):
+        raise AssertionError("no downdated inverse spectrum expected")
+
+    monkeypatch.setattr(synthesis, "downdated_inverse_spectra", no_spectra)
+    rng = np.random.default_rng(241)
+    g = random_connected(rng, 40)
+    s = sg.build_laplacian(g)
+    c = random_candidates(rng, 40, 60)
+    for spec in ("hankel", "zeta:q=inf", "hp:p=inf"):
+        m = sg.parse_measure(spec)
+        res = sg.greedy(s, c, 6, m)
+        items = list(g.edges.items())
+        for link, value in zip(res.chosen, res.values[1:]):
+            items.append(link)
+            assert value == pytest.approx(full_recompute_value(m, laplacian_of(40, items)),
+                                          rel=1e-13, abs=0.0), spec
+
+
+def test_eigenbasis_scores_match_the_downdated_spectra(monkeypatch):
+    """Every measure family (kind_suite, gamma at 1.0000001, 1.5 and 10 over
+    lambda_2, and at 0.5 below its threshold) scored in the eigenbasis
+    (synthesis._exact_scores) on 40 and 140 nodes, against the downdated
+    inverse spectra (exact_scores): within 1e-13 relative at 1e-8 and unit
+    weights.  At 1e8 weights the downdated route itself errs, mq:q=0.5 by
+    up to 1e-7 and volume by 1e-9, so the bound there is SLACK, and volume
+    is checked against the determinant lemma within 1e-13.  No link falls
+    back to the downdated route at unit weights, but for gamma at
+    1.0000001/lambda_2, whose branch point leaves the contour no room, and
+    below its threshold, where the links that lift lambda_2 past it do."""
+    from specgrow import synthesis
+    fallbacks = []
+    inverse_spectra = synthesis.downdated_inverse_spectra
+
+    def counting(state, rows, cols, ws):
+        fallbacks.append(len(rows))
+        return inverse_spectra(state, rows, cols, ws)
+
+    monkeypatch.setattr(synthesis, "downdated_inverse_spectra", counting)
+    rng = np.random.default_rng(227)
+    volume = sg.parse_measure("volume")
+    for n in (40, 140):
+        s = sg.build_laplacian(random_connected(rng, n))
+        triples = [(i, j, w) for (i, j), w in random_candidates(rng, n, 60).links]
+        lam2 = float(s.eigvals[1])
+        near, below = (sg.MeasureSpec("gamma", g / lam2) for g in (1.0000001, 0.5))
+        suite = kind_suite(s) + [sg.MeasureSpec("gamma", g / lam2) for g in (1.5, 10.0)]
+        for scale in (1e-8, 1.0, 1e8):
+            c = sg.CandidateSet.from_triples([(i, j, scale * w) for i, j, w in triples])
+            idx = np.arange(c.p)
+            for m in suite + [near, below]:
+                fallbacks.clear()
+                got = synthesis._exact_scores(m, s, c, idx)
+                fell = sum(fallbacks)
+                fallbacks.clear()
+                want = exact_scores(m, s, *c.arrays)
+                assert np.array_equal(np.isinf(got), np.isinf(want)), (n, scale, m.label)
+                finite = np.isfinite(want)
+                rel = 1e-13 if scale < 1e8 else synthesis.SLACK
+                assert got[finite] == pytest.approx(want[finite], rel=rel, abs=0.0), \
+                    (n, scale, m.label)
+                if m is near:
+                    assert fell == c.p, (n, scale)
+                elif scale == 1.0 and m is not below:
+                    assert fell == 0, (n, m.label)
+                if m == volume and scale == 1e8:
+                    lemma = [sg.evaluate(m, s) - synthesis.closed_form_delta(m, s, e, w)
+                             for e, w in c.links]
+                    assert got == pytest.approx(lemma, rel=1e-13, abs=0.0), n
+            assert np.isinf(exact_scores(below, s, *c.arrays)).any(), (n, scale)
 
 
 def test_greedy_beside_an_unresolvable_link_is_ill_conditioned():
@@ -647,21 +803,22 @@ def test_greedy_beside_an_unresolvable_link_is_ill_conditioned():
 
 
 def test_small_graph_greedy_scores_each_step_in_one_stacked_call(monkeypatch):
-    """Where the first pinching would couple every eigen-direction, greedy
-    computes no pinched bound and, on a fresh candidate set, scores each
-    step's links in one stacked call."""
+    """On a small state (at most 16 links on at most 33 nodes) greedy
+    computes no bound and, on a fresh candidate set, scores each step's
+    links in one stacked call.  The bound it patches out was the pinching
+    walk's until the bound levels became one (the diagonal)."""
     from specgrow import synthesis
     sizes = []
     inverse_spectra = synthesis.downdated_inverse_spectra
 
     def no_bounds(*args):
-        raise AssertionError("no pinched bound expected")
+        raise AssertionError("no bound expected")
 
     def counting_spectra(state, rows, cols, ws):
         sizes.append(len(rows))
         return inverse_spectra(state, rows, cols, ws)
 
-    monkeypatch.setattr(synthesis, "_pinched_bounds", no_bounds)
+    monkeypatch.setattr(synthesis, "_diagonal_bounds", no_bounds)
     monkeypatch.setattr(synthesis, "downdated_inverse_spectra", counting_spectra)
     rng = np.random.default_rng(181)
     for _ in range(4):
@@ -676,59 +833,68 @@ def test_small_graph_greedy_scores_each_step_in_one_stacked_call(monkeypatch):
 
 
 def test_greedy_walk_levels_by_graph_size(monkeypatch):
-    """The pinchings greedy computes: none up to 33 nodes, then 32 and a block
-    of every direction up to 65 nodes, 32, 64 and a block of every direction
-    up to 129, and 32, 64 and 128 above.  Each link passes every level before
-    its exact score, so each step calls each level at least once.  An exact
-    call scores up to CHUNK links without pinchings, one link after them."""
-    from specgrow import synthesis
-    blocks, sizes = set(), []
-    pinched_bounds, inverse_spectra = synthesis._pinched_bounds, synthesis.downdated_inverse_spectra
-
-    def recording_bounds(m, state, links, idx, block):
-        blocks.add(block)
-        return pinched_bounds(m, state, links, idx, block)
-
-    def recording_spectra(state, rows, cols, ws):
-        sizes.append(len(rows))
-        return inverse_spectra(state, rows, cols, ws)
-
-    monkeypatch.setattr(synthesis, "_pinched_bounds", recording_bounds)
-    monkeypatch.setattr(synthesis, "downdated_inverse_spectra", recording_spectra)
-    expected = {12: (), 33: (), 34: (32, 64), 40: (32, 64), 65: (32, 64), 66: (32, 64, 128),
-                100: (32, 64, 128), 129: (32, 64, 128), 130: (32, 64, 128), 140: (32, 64, 128)}
-    rng = np.random.default_rng(193)
-    for n, pinchings in expected.items():
-        s = sg.build_laplacian(random_connected(rng, n))
-        c = random_candidates(rng, n, 3 * synthesis.CHUNK)
-        blocks.clear()
-        sizes.clear()
-        sg.greedy(s, c, 2, sg.parse_measure("tau:t=1"))
-        assert sorted(blocks) == [0, *pinchings], n
-        if pinchings:
-            assert (pinchings[-1] >= n - 1) == (n <= 129), n
-            assert set(sizes) == {1}, n
-        else:
-            assert 1 < max(sizes) <= synthesis.CHUNK, n
-
-
-def test_a_lone_link_is_scored_with_no_pinched_bound(monkeypatch):
-    """Greedy at k = p: the steps before the last walk the pinchings, and the
-    last scores its one link left in one exact call, with no bound."""
+    """The levels greedy walks, by graph size and link count.  A small state
+    (one link, or at most 16 on at most 33 nodes) has none: each step scores
+    its links in one stacked call of downdated inverse spectra.  Every other
+    state has one, the diagonal bound, computed for every link left at each
+    step, and its exact scores read the eigenbasis, with no downdated
+    inverse spectrum at unit weights.  Before the bound levels became one,
+    this checked pinchings of 32, 64 and 128 directions from 34, 66 and 130
+    nodes on."""
     from specgrow import synthesis
     events = []
-    pinched_bounds, inverse_spectra = synthesis._pinched_bounds, synthesis.downdated_inverse_spectra
+    diagonal_bounds, inverse_spectra = synthesis._diagonal_bounds, synthesis.downdated_inverse_spectra
 
-    def recording_bounds(m, state, links, idx, block):
-        events.append(("bound", state, idx.size))
-        return pinched_bounds(m, state, links, idx, block)
+    def recording_bounds(m, state, links, idx):
+        events.append(("bound", idx.size))
+        return diagonal_bounds(m, state, links, idx)
 
     def recording_spectra(state, rows, cols, ws):
-        events.append(("exact", state, len(rows)))
+        events.append(("spectra", len(rows)))
         return inverse_spectra(state, rows, cols, ws)
 
-    monkeypatch.setattr(synthesis, "_pinched_bounds", recording_bounds)
+    monkeypatch.setattr(synthesis, "_diagonal_bounds", recording_bounds)
     monkeypatch.setattr(synthesis, "downdated_inverse_spectra", recording_spectra)
+    rng = np.random.default_rng(193)
+    for n, p, small in ((12, 16, True), (33, 16, True), (140, 1, True), (12, 17, False),
+                        (33, 17, False), (34, 16, False), (40, 48, False), (140, 48, False)):
+        s = sg.build_laplacian(random_connected(rng, n))
+        c = random_candidates(rng, n, p)
+        assert c._keeps_steps(s) == small, (n, p)
+        for spec in ("tau:t=1", "hankel"):
+            events.clear()
+            k = min(2, p)
+            sg.greedy(s, sg.CandidateSet(c.links), k, sg.parse_measure(spec))  # keeps nothing yet
+            if small:
+                assert events == [("spectra", p - t) for t in range(k)], (n, p, spec)
+            else:
+                assert events == [("bound", p - t) for t in range(k)], (n, p, spec)
+
+
+def test_a_lone_link_is_scored_in_the_eigenbasis(monkeypatch):
+    """Greedy at k = p on 40 and 140 nodes: every step, the last with its one
+    link left included, bounds its links and scores them in the eigenbasis,
+    with no downdated inverse spectrum.  Before the bound levels became one,
+    a lone link skipped the bound and took the downdated route."""
+    from specgrow import synthesis
+    events = []
+    diagonal_bounds, inverse_spectra = synthesis._diagonal_bounds, synthesis.downdated_inverse_spectra
+    exact_scores_ = synthesis._exact_scores
+
+    def recording_bounds(m, state, links, idx):
+        events.append(("bound", state, idx.size))
+        return diagonal_bounds(m, state, links, idx)
+
+    def recording_exact(m, state, candidates, idx):
+        events.append(("exact", state, idx.size))
+        return exact_scores_(m, state, candidates, idx)
+
+    def no_spectra(*args):
+        raise AssertionError("no downdated inverse spectrum expected")
+
+    monkeypatch.setattr(synthesis, "_diagonal_bounds", recording_bounds)
+    monkeypatch.setattr(synthesis, "_exact_scores", recording_exact)
+    monkeypatch.setattr(synthesis, "downdated_inverse_spectra", no_spectra)
     rng = np.random.default_rng(197)
     for n in (40, 140):
         s = sg.build_laplacian(random_connected(rng, n))
@@ -736,11 +902,9 @@ def test_a_lone_link_is_scored_with_no_pinched_bound(monkeypatch):
         for spec in ("tau:t=1", "hankel"):
             events.clear()
             sg.greedy(s, c, c.p, sg.parse_measure(spec))
-            kind, last, size = events[-1]
-            assert (kind, size) == ("exact", 1), (n, spec)
-            assert any(kind == "bound" for kind, _, _ in events), (n, spec)
-            assert not any(kind == "bound" and state is last for kind, state, _ in events), \
-                (n, spec)
+            assert [(kind, size) for kind, _, size in events[-2:]] == [("bound", 1), ("exact", 1)]
+            assert events[-2][1] is events[-1][1] is not s, (n, spec)
+            assert sum(kind == "bound" for kind, _, _ in events) == c.p, (n, spec)
 
 
 def test_linearized_values_each_pick_by_the_walks_exact_score():
@@ -760,10 +924,10 @@ def test_linearized_values_each_pick_by_the_walks_exact_score():
             state, left = root, np.arange(c.p)
             for edge_weight, value in zip(res.chosen, res.values[1:]):
                 link = c.links.index(edge_weight)
-                alone = synthesis._pruned_scores(m, state, sg.CandidateSet(c.links),
-                                                 np.array([link]))
+                alone = synthesis._Exact(m, state, sg.CandidateSet(c.links)).scores(
+                    np.array([link]))
                 assert repr(value) == repr(float(alone[0])), (n, m.label)
-                scores = synthesis._pruned_scores(m, state, sg.CandidateSet(c.links), left)
+                scores = synthesis._Exact(m, state, sg.CandidateSet(c.links)).scores(left)
                 pos = int(np.flatnonzero(left == link)[0])
                 if math.isfinite(scores[pos]):
                     assert repr(value) == repr(float(scores[pos])), (n, m.label)
@@ -811,27 +975,26 @@ def test_brute_force_equals_the_per_subset_loop_bit_for_bit(monkeypatch):
                 assert len(fresh._memo) == 0, (m.label, k)
 
 
-def test_pinched_bounds_lie_below_the_scores_and_tighten_with_the_block():
-    from specgrow.synthesis import SLACK, _link_arrays, _pinched_bounds
+def test_diagonal_bounds_lie_below_the_scores():
+    """The diagonal bound lies below each link's exact score within SLACK, and
+    at 1e-8 weights, where it misses only terms of second order in w, it is
+    tight.  Until the bound levels became one, this also checked pinchings
+    of 8 and 39 coupled directions, each tighter than the last."""
+    from specgrow.synthesis import SLACK, _diagonal_bounds, _link_arrays
     rng = np.random.default_rng(173)
-    for scale in (1.0, 1e8):
+    for scale in (1e-8, 1.0, 1e8):
         s = sg.build_laplacian(random_connected(rng, 40))
         c = random_candidates(rng, 40, 30)
         links = _link_arrays([(e, scale * w) for e, w in c.links])
-        idx = np.arange(c.p)
         for m in pruning_suite(s):
             scores = exact_scores(m, s, *links)
             # at 1e8 the scores of mq round off by ~3e-8 relative; greedy allows SLACK
             slack = SLACK * np.maximum(1.0, np.abs(scores))
-            previous = -np.inf
-            for block in (0, 8, 39):  # 39: one block of every direction, the exact spectrum
-                bounds = _pinched_bounds(m, s, links, idx, block)
-                assert np.all(bounds <= scores + slack), (m.label, scale, block)
-                assert np.all(bounds >= previous - slack), (m.label, scale, block)
-                previous = bounds
-            finite = np.isfinite(scores)
-            if scale == 1.0:
-                assert previous[finite] == pytest.approx(scores[finite], rel=1e-9), m.label
+            bounds = _diagonal_bounds(m, s, links, np.arange(c.p))
+            assert np.all(bounds <= scores + slack), (m.label, scale)
+            finite = np.isfinite(scores) & np.isfinite(bounds)
+            if scale == 1e-8:
+                assert bounds[finite] == pytest.approx(scores[finite], rel=1e-9), m.label
 
 
 def test_greedy_supermodular_ratio():
@@ -967,8 +1130,10 @@ def test_solvers_update_the_state_only_between_picks(monkeypatch):
 
 def test_greedy_does_not_depend_on_powers_read_earlier(monkeypatch):
     """Closed-form solves form no P, at the root or after; a root whose P a
-    spectral solve formed gives the same runs as a fresh one, and its grown
-    states carry P, the one matrix the spectral scores read."""
+    spectral solve formed, by growing a state, gives the same runs as a
+    fresh one, and its grown states carry P.  A spectral solve of one pick
+    formed it too until its exact scores moved to the eigenbasis, so that
+    solve now makes two picks."""
     held = []
     with_edge = sg.LaplacianState.with_edge
 
@@ -985,7 +1150,7 @@ def test_greedy_does_not_depend_on_powers_read_earlier(monkeypatch):
         for solver in (sg.greedy, sg.linearized)[:1 if spec == "volume" else 2]:
             solver(shared, cands, 8, sg.parse_measure(spec))
             assert shared._pinv is None, (solver.__name__, spec)
-    sg.greedy(shared, cands, 1, sg.parse_measure("tau:t=1"))  # an exact score reads P
+    sg.greedy(shared, cands, 2, sg.parse_measure("tau:t=1"))  # with_edge reads P
     assert shared._pinv is not None
     monkeypatch.setattr(sg.LaplacianState, "with_edge", recording)
     # the closed-form solvers grow no state
