@@ -44,7 +44,7 @@ import numpy as np
 from .errors import (CombinatorialBlowup, GraphFormatError, InvalidParameter,
                      UnsupportedMeasure)
 from .graphs import Edge, load_json, node_pair, read_links
-from .laplacian import LaplacianState, downdated_inverse_spectra, pair_form
+from .laplacian import LaplacianState, downdated_inverse_spectra, pair_form, secular_roots
 from .measures import (MeasureSpec, companion_value, evaluate, from_lambda2, from_sum,
                        gradient, spectral_value, summand)
 
@@ -372,44 +372,25 @@ def _secular_lambda2(lams: np.ndarray, Z2: np.ndarray, ws: np.ndarray) -> np.nda
     """lambda_2 of Lambda + w z z^T for each row of Z2 = z^2 and ws = w, with
     Lambda = diag(lams): the state's lambda_2 after adding each link.
 
-    It is lambda_2 + x, x the root in [0, min(lambda_3 - lambda_2, w z_2^2)]
-    of 1/w - z_2^2/x + sum_{k>2} z_k^2/(d_k - x), d_k = lambda_k - lambda_2
-    (Golub 1973; Bunch, Nielsen and Sorensen 1978), kept as an offset from
-    the pole lambda_2 so that it keeps its relative accuracy.  The interval
-    is empty where z_2 = 0 or lambda_3 = lambda_2, and lambda_2 stays.
-    T(x) = z_2^2 / (1/w + sum_{k>2} z_k^2/(d_k - x)) falls as x rises and
-    meets x at the root, so each evaluation brackets the root between x and
-    T(x).  The steps alternate Newton on x - T(x), when it lands inside the
-    bracket, with bisection, which at least halves the bracket every two
-    steps.  A row stops once its step is within 2 eps (lambda_2 + x); it
-    takes the same steps in any batch.
+    It is the secular equation's root above lambda_2 (:func:`secular_roots`),
+    which lies below min(lambda_3, lambda_2 + w z_2^2).  That interval is
+    empty, to 2 eps lambda_2, where z_2 = 0 or lambda_3 = lambda_2, and
+    lambda_2 stays.
     """
-    gaps, z2, rest = lams[1:] - lams[0], Z2[:, 0], Z2[:, 1:]
-    lo, hi = np.zeros(ws.size), np.minimum(gaps[0], ws * z2)
-    eps = 2.0 * np.finfo(float).eps
-    x = np.where(hi > eps * lams[0], 0.5 * hi, 0.0)
-    live, newton = np.flatnonzero(x), True
-    while live.size:
-        at, r = x[live], 1.0 / (gaps - x[live, None])
-        zr = rest[live] * r
-        T = z2[live] / (1.0 / ws[live] + np.sum(zr, axis=1))
-        lo[live] = np.maximum(lo[live], np.minimum(at, T))
-        hi[live] = np.minimum(hi[live], np.maximum(at, T))
-        # Newton's step: T'(x) = -T(x)^2 sum_{k>2} z_k^2/(d_k - x)^2 / z_2^2
-        step = at - (at - T) / (1.0 + T * T * np.sum(zr * r, axis=1) / z2[live])
-        x[live] = np.where(newton & (lo[live] < step) & (step < hi[live]), step,
-                           0.5 * (lo[live] + hi[live]))
-        live, newton = live[np.abs(x[live] - at) > eps * (lams[0] + x[live])], not newton
-    return lams[0] + x
+    lam2 = np.full(ws.size, lams[0])
+    live = np.flatnonzero(np.minimum(lams[1] - lams[0], ws * Z2[:, 0])
+                          > 2.0 * np.finfo(float).eps * lams[0])
+    origin, tau = secular_roots(lams, Z2[live], ws[live], np.zeros(live.size, dtype=int))
+    lam2[live] = lams[origin] + tau
+    return lam2
 
 
-def _contour_scores(m: MeasureSpec, lams: np.ndarray, Z2: np.ndarray, ws: np.ndarray,
-                    wmax: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The measure, a sum of its summand f over the spectrum, after adding
-    each link (z^2, w) = (Z2, ws) row, and whether the trapezoid rule
-    resolved it; no link is resolved where the rule finds no room.
+def _contour_nodes(m: MeasureSpec, lams: np.ndarray, wmax: float) -> tuple:
+    """The quadrature of :func:`_contour_scores` for the spectrum lams and
+    links of weight at most wmax: (RR, weights, the sum of f over lams), or
+    () where the rule finds no room; they do not depend on the links.
 
-    The link changes the sum by (1/2 pi i) times the closed integral of
+    A link changes the sum by (1/2 pi i) times the closed integral of
     f g'/g, g(zeta) = 1 + w sum_k z_k^2 / (lambda_k - zeta) the secular
     function, whose zeros are the grown spectrum (the argument principle),
     around every spectrum that one link of weight at most wmax can grow from
@@ -425,9 +406,6 @@ def _contour_scores(m: MeasureSpec, lams: np.ndarray, Z2: np.ndarray, ws: np.nda
     read as real pairs, for the nodes theta = pi j / N,
     j = 0..N, of the rule of 2N nodes that lie on or above the real axis
     (those below give conjugate terms); the N-node rule is every other one.
-    A link is resolved where the two rules differ by at most sqrt(eps) of
-    the sum: the 2N rule squares the N rule's error, so it is then at
-    rounding level.
     """
     lo, hi = math.log(lams[0]), math.log(lams[-1] + 2.0 * wmax)
     c, d = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -436,23 +414,39 @@ def _contour_scores(m: MeasureSpec, lams: np.ndarray, Z2: np.ndarray, ws: np.nda
         ratio = (c + math.log(m.param)) / d
         eta = min(eta, math.acosh(ratio)) if ratio > 1.0 else 0.0
     if -math.log(TIE_REL) > 512.0 * eta:
-        return np.zeros(ws.size), np.zeros(ws.size, dtype=bool)
+        return ()
     N = 2 * math.ceil(-math.log(TIE_REL) / eta)
     theta = np.pi * np.arange(N + 1) / N - 0.5j * eta
     zeta = np.exp(c + d * np.cos(theta))
     R = 1.0 / (lams[:, None] - zeta)
     weights = summand(m, zeta) * zeta * d * np.sin(theta) / (-2j * N)  # f zeta u' / (2N i)
     weights[1:-1] *= 2.0
+    return np.hstack([R, R * R]).view(float), weights, np.sum(summand(m, lams))
+
+
+def _contour_scores(m: MeasureSpec, nodes: tuple, Z2: np.ndarray, ws: np.ndarray,
+                    n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The measure, a sum of its summand f over the spectrum, after adding
+    each link (z^2, w) = (Z2, ws) row, and whether the trapezoid rule of
+    :func:`_contour_nodes` resolved it; no link is resolved where the rule
+    finds no room.  A link is resolved where the rules of N and 2N nodes
+    differ by at most sqrt(eps) of the sum: the 2N rule squares the N
+    rule's error, so it is then at rounding level.
+    """
+    if not nodes:
+        return np.zeros(ws.size), np.zeros(ws.size, dtype=bool)
+    RR, weights, base = nodes
+    N = weights.size - 1
     # sum_k z_k^2 R[k] and sum_k z_k^2 R[k]^2 at every node, one product a row
-    S = (Z2[:, None, :] @ np.hstack([R, R * R]).view(float))[:, 0].view(complex)
+    S = (Z2[:, None, :] @ RR)[:, 0].view(complex)
     terms = (ws[:, None] * S[:, N + 1:] / (1.0 + ws[:, None] * S[:, :N + 1]) * weights).real
     fine, coarse = np.sum(terms, axis=1), 2.0 * np.sum(terms[:, ::2], axis=1)
-    total = np.sum(summand(m, lams)) + fine
+    total = base + fine
     return from_sum(m, total, n), np.abs(coarse - fine) <= np.finfo(float).eps ** 0.5 * abs(total)
 
 
 def _exact_scores(m: MeasureSpec, state: LaplacianState, candidates: CandidateSet,
-                  idx: np.ndarray) -> np.ndarray:
+                  idx: np.ndarray, memo: dict) -> np.ndarray:
     """Post-addition value of each candidate link idx; a link's score does
     not depend on the links scored with it.
 
@@ -467,7 +461,9 @@ def _exact_scores(m: MeasureSpec, state: LaplacianState, candidates: CandidateSe
     eigendecomposition, whose eigenvalues are good to about eps lambda_n,
     may not resolve lambda_2 to TIE_REL (eps lambda_n > TIE_REL lambda_2):
     beside a link far heavier than the rest, or on a path of more than about
-    100 nodes.
+    100 nodes.  `memo` keeps the state's contour quadrature
+    (:func:`_contour_nodes`) once a call has built it: pass one dict to every
+    call on the same state and candidate set.
     """
     if candidates._keeps_steps(state):
         return companion_value(m, candidates._single_spectra(state, idx), state.n)
@@ -480,7 +476,9 @@ def _exact_scores(m: MeasureSpec, state: LaplacianState, candidates: CandidateSe
     elif m.kind == "gamma" and m.param * lams[0] < 1.0:
         scores, exact = np.full(idx.size, math.inf), m.param * _secular_lambda2(lams, Z2, ws) < 1.0
     else:
-        scores, exact = _contour_scores(m, lams, Z2, ws, candidates.arrays[2].max(), state.n)
+        if "nodes" not in memo:
+            memo["nodes"] = _contour_nodes(m, lams, float(candidates.arrays[2].max()))
+        scores, exact = _contour_scores(m, memo["nodes"], Z2, ws, state.n)
     if not exact.all():
         rest = np.flatnonzero(~exact)
         scores[rest] = companion_value(
@@ -604,17 +602,20 @@ class _Exact:
         first and then as many as scored so far (at most ROWS) a batch, each
         batch holding only links whose bound lies within the :func:`_cut` of
         the best score so far.  The cut only falls, so the walk ends with
-        every link left unscored above it, outside the tie band.
+        every link left unscored above it, outside the tie band.  The
+        batches share one memo, so the contour quadrature, which depends on
+        the state alone, is built at most once.
         """
-        if self.candidates._keeps_steps(self.state):
-            return _exact_scores(self.m, self.state, self.candidates, idx)
-        bounds = _diagonal_bounds(self.m, self.state, self.candidates.arrays, idx)
+        m, state, candidates, memo = self.m, self.state, self.candidates, {}
+        if candidates._keeps_steps(state):
+            return _exact_scores(m, state, candidates, idx, memo)
+        bounds = _diagonal_bounds(m, state, candidates.arrays, idx)
         order = np.argsort(bounds, kind="stable")
         scores, best, start = np.full(idx.size, math.inf), math.inf, 0
         while start < idx.size and bounds[order[start]] <= _cut(best):
             within = int(np.searchsorted(bounds[order], _cut(best), side="right"))
             batch = order[start:min(within, start + min(max(CHUNK, start), ROWS))]
-            scores[batch] = _exact_scores(self.m, self.state, self.candidates, idx[batch])
+            scores[batch] = _exact_scores(m, state, candidates, idx[batch], memo)
             best, start = min(best, float(scores[batch].min())), start + batch.size
         return scores
 

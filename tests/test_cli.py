@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -134,6 +135,20 @@ def test_grow_writes_record_and_csv(tmp_path, k3_file):
     assert lines[1].startswith("0,,,,")
     values = [float(line.split(",")[4]) for line in lines[1:]]
     assert values == sorted(values, reverse=True)
+
+
+def test_outputs_go_to_devices_and_pipes(tmp_path, k3_file):
+    """--out and --csv take the null device and a pipe (/dev/stdout, which
+    run_cli captures), neither of which can be cut to a length."""
+    cands = tmp_path / "cands.json"
+    cands.write_text(json.dumps({"links": [[0, 1, 1.0], [0, 2, 2.0]]}))
+    grow = ("grow", k3_file, str(cands), "--measure", "zeta:q=1", "-k", "1")
+    out = run_cli(*grow, "--out", os.devnull, "--csv", os.devnull)
+    assert out.returncode == 0, out.stderr
+    if os.path.exists("/dev/stdout"):
+        out = run_cli(*grow, "--csv", "/dev/stdout")
+        assert out.returncode == 0, out.stderr
+        assert "step,edge_i,edge_j,weight,value" in out.stdout.splitlines()
 
 
 def test_grow_is_reproducible(tmp_path, k3_file):

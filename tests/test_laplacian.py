@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import specgrow as sg
-from util import (graph, grown_powers, k3, kind_suite, path_graph, pinv_power,
-                  random_candidates, random_connected, resistance_matrix, two_node)
+from util import (graph, grown_powers, k3, k4, kind_suite, path_graph, pinv_power,
+                  random_candidates, random_connected, resistance_matrix, ring_graph, two_node)
+
+EPS = np.finfo(float).eps
 
 
 def bordered_inverse_pinv(L):
@@ -159,10 +161,89 @@ def test_graph_is_read_off_the_laplacian():
     assert cur.graph.edges == g.edges
 
 
+def update_errors(state):
+    """A state's eigenvalue error against eigvalsh of its L, in units of
+    n eps lambda_n; its residual ||L V - V Lambda||_F, in the same units;
+    and ||V^T V - I||_F, in units of n eps."""
+    L, vals, vecs = np.asarray(state.matrix), state.eigvals, state.eigvecs
+    want = np.linalg.eigvalsh(L)
+    unit = state.n * EPS * want[-1]
+    return (np.abs(vals - want).max() / unit, np.linalg.norm(L @ vecs - vecs * vals) / unit,
+            np.linalg.norm(vecs.T @ vecs - np.eye(state.n)) / (state.n * EPS))
+
+
+def no_eigh(*args):
+    raise AssertionError("a grown state takes its eigenpairs by the rank-one update")
+
+
+def test_rank_one_update_matches_eigh(monkeypatch):
+    """A grown state's eigenpairs, taken from its parent's by the rank-one
+    update (laplacian.rank_one_eigh) with no eigh, against eigvalsh of its
+    L: the eigenvalues within n eps lambda_n, eigh's own backward error, the
+    residual ||L V - V Lambda||_F within n eps lambda_n too, and ||V^T V -
+    I||_F within 2 n eps (eigh's reaches 2 n eps on these graphs).  On ring
+    8, K4 and a 6-node path with complete candidates, where eigenvalues
+    repeat (ring, K4) and rotations deflate them; and on 60 nodes at 1e-8,
+    unit and 1e8 weights, alone and beside a 1e8 base link, where the
+    computed null vector is not constant to the deflation tolerance, so the
+    update takes it in too."""
+    rng = np.random.default_rng(37)
+    g = random_connected(rng, 60)
+    triples = [(i, j, w) for (i, j), w in random_candidates(rng, 60, 40).links]
+    cases = [(ring_graph(8), sg.CandidateSet.complete(8).links),
+             (k4(), sg.CandidateSet.complete(4).links),
+             (path_graph(6), sg.CandidateSet.complete(6).links)]
+    for base in (g, g.with_edge((0, 59), 1e8)):
+        cases += [(base, [((i, j), scale * w) for i, j, w in triples]) for scale in (1e-8, 1.0, 1e8)]
+    roots = [sg.build_laplacian(base) for base, _ in cases]
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for root, (base, links) in zip(roots, cases):
+        for edge, w in links:
+            eig, residual, orthogonality = update_errors(root.with_edge(edge, w))
+            assert eig <= 1.0 and residual <= 1.0 and orthogonality <= 2.0, (base.n, edge, w)
+
+
+def test_rank_one_update_chain_drift(monkeypatch):
+    """Chains of rank-one updates, each state's eigenpairs read before the
+    next link, against eigvalsh of the L reached: 300 links of random weight
+    on 60 nodes, as long as a greedy run at k = 300, checked after 50, 100
+    and 300; and 59 unit chords (n - 1) on a 60-node ring, whose repeated
+    eigenvalues the update deflates by rotations.  Every update is backward
+    stable, with errors within those of test_rank_one_update_matches_eigh,
+    and the errors of N of them add like a random walk.  So after N updates
+    the eigenvalues, which the recomputed Loewner vectors keep at rounding
+    level, stay within one update's bound, n eps lambda_n; that bound holds
+    lambda_2, which the IllConditioned guard reads.  The residual and the
+    orthogonality are held to sqrt(N) times one update's bounds.  Measured
+    over 5 seeds and 1000 links, the worst grew as 0.1 sqrt(N) and
+    0.36 sqrt(N) (3.7 and 9.6 at N = 1000), the eigenvalues stayed below
+    0.5, and no bound was met."""
+    rng = np.random.default_rng(43)
+    cur = sg.build_laplacian(random_connected(rng, 60))
+    ring = sg.build_laplacian(ring_graph(60))
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    chords = [(i, i + 30) for i in range(30)] + [(i, i + 7) for i in range(29)]
+    for (i, j) in chords:
+        ring = ring.with_edge((i, j), 1.0)
+        ring.eigvals
+    checked = [(ring, len(chords))]
+    for step in range(1, 301):
+        i, j = sorted(rng.choice(60, size=2, replace=False).tolist())
+        cur = cur.with_edge((i, j), float(rng.uniform(0.1, 5.0)))
+        cur.eigvals
+        if step in (50, 100, 300):
+            checked.append((cur, step))
+    for state, steps in checked:
+        eig, residual, orthogonality = update_errors(state)
+        assert eig <= 1.0, steps
+        assert residual <= steps ** 0.5 and orthogonality <= 2.0 * steps ** 0.5, steps
+
+
 def test_rank_one_zero_weight_limit():
     s = sg.build_laplacian(k3())
     s_eps = s.with_edge((0, 1), 1e-12)
     assert np.allclose(s_eps.pinv, s.pinv, atol=1e-11)
+    assert update_errors(s_eps)[0] <= 1.0
     for w in (0.0, -1.0, float("nan"), float("inf")):  # inf would put inf in L
         with pytest.raises(sg.InvalidParameter):
             s.with_edge((0, 1), w)
@@ -213,17 +294,28 @@ def test_with_edge_rejects_links_outside_the_graph():
 
 def test_rank_one_chain_matches_rebuild():
     """Ten rank-one updates of a state's P, and of the P^1..P^3 that the
-    tests' reference downdate carries, against a fresh build."""
+    tests' reference downdate carries, against a fresh build.  A grown state
+    downdates P only where its parent holds one, so the chain reads the
+    root's P first; with_edge downdated P on every state until grown states
+    took their eigenpairs from their parent's, and the chain read nothing.
+    A second chain reads each state's eigenpairs, which it takes by the
+    rank-one update, and no P until the last state's: its eigenvalues and
+    that P match the fresh build too."""
     rng = np.random.default_rng(31)
     for trial in range(6):
         n = int(rng.integers(10, 51))
-        cur = sg.build_laplacian(random_connected(rng, n))
+        g = random_connected(rng, n)
+        cur, spectral = sg.build_laplacian(g), sg.build_laplacian(g)
         powers = {m: pinv_power(cur, m) for m in (1, 2, 3)}
+        cur.pinv
         for _ in range(10):
             i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
             w = float(rng.uniform(0.1, 5.0))
             cur = cur.with_edge((i, j), w)
             powers = grown_powers(powers, (i, j), w)
+            spectral = spectral.with_edge((i, j), w)
+            spectral.eigvals
+            assert spectral._pinv is None
         assert np.array_equal(cur.pinv, powers[1]), trial
         ref = sg.build_laplacian(cur.graph)
         scale = np.linalg.norm(ref.pinv)
@@ -234,6 +326,8 @@ def test_rank_one_chain_matches_rebuild():
             r_err = np.abs(resistance_matrix(powers[m]) - resistance_matrix(expected)).max()
             assert r_err <= 1e-8 * max(scale, 1.0)
         assert np.allclose(cur.matrix, ref.matrix, atol=1e-12)
+        assert np.abs(spectral.eigvals - ref.eigvals).max() <= n * EPS * ref.eigvals[-1], trial
+        assert np.abs(spectral.pinv - ref.pinv).max() <= 1e-9 * max(scale, 1.0), trial
 
 
 def test_powers_are_computed_on_first_read_and_carried(monkeypatch):
@@ -285,15 +379,41 @@ def test_powers_are_computed_on_first_read_and_carried(monkeypatch):
         sg.linearized(root, cands, 6, sg.parse_measure(spec))
         assert held == [] and (root._pinv is None) == (spec != "volume"), spec
 
-    # the root's P is formed once, then carried without a product or an eigh
+    # where the root's P is read, it is formed once, then carried without a
+    # product or an eigh (with_edge carried it from an unread root too, by
+    # forming it there, until grown states took their eigenpairs by the
+    # rank-one update: this read nothing before growing)
     counts.update(eigh=0, products=0)
     cur = sg.build_laplacian(g)
     assert cur._pinv is None
+    cur.pinv
     for (i, j), w in cands.links[:5]:
         cur = cur.with_edge((i, j), w)
     cur.pinv
     assert counts == {"eigh": 1, "products": 1}
     assert held == [True] * 5
+
+    # elsewhere each grown state takes its eigenpairs from its parent's by
+    # the rank-one update, with no eigh, and forms P only on first read
+    update = sg.laplacian.rank_one_eigh
+    updates = []
+
+    def counting_update(vals, vecs, *link):
+        updates.append(link)
+        vals, vecs = update(vals, np.asarray(vecs), *link)
+        return vals, vecs.view(CountingVecs)
+
+    monkeypatch.setattr(sg.laplacian, "rank_one_eigh", counting_update)
+    counts.update(eigh=0, products=0)
+    held.clear()
+    cur = sg.build_laplacian(g)
+    for (i, j), w in cands.links[:5]:
+        cur = cur.with_edge((i, j), w)
+        cur.eigvals
+    assert counts == {"eigh": 1, "products": 0} and len(updates) == 5
+    assert held == [False] * 5
+    cur.pinv
+    assert counts == {"eigh": 1, "products": 1}
 
 
 def test_rank_one_lazy_spectrum_consistency():

@@ -371,7 +371,7 @@ def full_scan_greedy(state, candidates, k, m):
     for step in range(k):
         rows, cols, ws = (a[remaining] for a in links)
         if form is None:
-            scores = _exact_scores(m, state, candidates, remaining)
+            scores = _exact_scores(m, state, candidates, remaining, {})
         else:
             stat = values[-1] if form.power is None else float(np.trace(powers[form.power]))
             R = [pair_form(P, rows, cols) for P in powers.values()]
@@ -543,9 +543,9 @@ def test_greedy_prunes_candidates_a_bound_rules_out(monkeypatch):
     scored = []
     exact_scores_ = synthesis._exact_scores
 
-    def counting(m, state, candidates, idx):
+    def counting(m, state, candidates, idx, memo):
         scored.append(idx.size)
-        return exact_scores_(m, state, candidates, idx)
+        return exact_scores_(m, state, candidates, idx, memo)
 
     monkeypatch.setattr(synthesis, "_exact_scores", counting)
     rng = np.random.default_rng(163)
@@ -555,6 +555,39 @@ def test_greedy_prunes_candidates_a_bound_rules_out(monkeypatch):
     sg.greedy(s, c, k, sg.parse_measure("tau:t=1"))
     # a full scan scores p - t candidates at step t; pruning, under p/4 a step
     assert 0 < sum(scored) < k * c.p / 4
+
+
+def test_contour_quadrature_is_built_once_a_step(monkeypatch):
+    """The contour quadrature depends on the state, the measure and the
+    largest link weight alone: every batch of a step's exact scores shares
+    one memo, so it is built once a step, by the first batch that reaches
+    the contour, where each batch built it until then."""
+    from specgrow import synthesis
+    built, batches = [], []
+    contour_nodes, exact_scores_ = synthesis._contour_nodes, synthesis._exact_scores
+
+    def counting_nodes(*args):
+        built.append(args[0])
+        return contour_nodes(*args)
+
+    def counting_batches(m, state, candidates, idx, memo):
+        batches.append((state, memo))  # held, so that no id is reused
+        return exact_scores_(m, state, candidates, idx, memo)
+
+    monkeypatch.setattr(synthesis, "_contour_nodes", counting_nodes)
+    monkeypatch.setattr(synthesis, "_exact_scores", counting_batches)
+    rng = np.random.default_rng(163)
+    s = sg.build_laplacian(random_connected(rng, 120))
+    c = random_candidates(rng, 120, 400)
+    for spec, steps in (("tau:t=1", 3), ("hankel", 0)):
+        built.clear()
+        batches.clear()
+        sg.greedy(s, c, 3, sg.parse_measure(spec))
+        memos = {}
+        for state, memo in batches:
+            memos.setdefault(id(state), set()).add(id(memo))
+        assert len(built) == steps and len(batches) > 3 and len(memos) == 3, spec
+        assert all(len(ids) == 1 for ids in memos.values()), spec
 
 
 def test_greedy_scores_only_links_whose_deepest_bound_ties_the_step_best(monkeypatch):
@@ -569,8 +602,8 @@ def test_greedy_scores_only_links_whose_deepest_bound_ties_the_step_best(monkeyp
     batches = []
     exact_scores_ = synthesis._exact_scores
 
-    def recording(m, state, candidates, idx):
-        scores = exact_scores_(m, state, candidates, idx)
+    def recording(m, state, candidates, idx, memo):
+        scores = exact_scores_(m, state, candidates, idx, memo)
         batches.append((state, idx.tolist(), scores.tolist()))
         return scores
 
@@ -631,8 +664,8 @@ def test_stacked_spectral_scores_equal_single_link_calls_bit_for_bit():
                     if n == 40:  # greedy's exact scores read the eigenbasis there
                         scaled = sg.CandidateSet.from_triples(zip(rows, cols, scale * ws))
                         idx = np.arange(c.p)
-                        batch = synthesis._exact_scores(m, state, scaled, idx)
-                        single = [float(synthesis._exact_scores(m, state, scaled, idx[b:b + 1])[0])
+                        batch = synthesis._exact_scores(m, state, scaled, idx, {})
+                        single = [float(synthesis._exact_scores(m, state, scaled, idx[b:b + 1], {})[0])
                                   for b in range(c.p)]
                         assert repr(batch.tolist()) == repr(single), (m.label, scale)
                         continue
@@ -768,7 +801,7 @@ def test_eigenbasis_scores_match_the_downdated_spectra(monkeypatch):
             idx = np.arange(c.p)
             for m in suite + [near, below]:
                 fallbacks.clear()
-                got = synthesis._exact_scores(m, s, c, idx)
+                got = synthesis._exact_scores(m, s, c, idx, {})
                 fell = sum(fallbacks)
                 fallbacks.clear()
                 want = exact_scores(m, s, *c.arrays)
@@ -885,9 +918,9 @@ def test_a_lone_link_is_scored_in_the_eigenbasis(monkeypatch):
         events.append(("bound", state, idx.size))
         return diagonal_bounds(m, state, links, idx)
 
-    def recording_exact(m, state, candidates, idx):
+    def recording_exact(m, state, candidates, idx, memo):
         events.append(("exact", state, idx.size))
-        return exact_scores_(m, state, candidates, idx)
+        return exact_scores_(m, state, candidates, idx, memo)
 
     def no_spectra(*args):
         raise AssertionError("no downdated inverse spectrum expected")
@@ -1129,11 +1162,13 @@ def test_solvers_update_the_state_only_between_picks(monkeypatch):
 
 
 def test_greedy_does_not_depend_on_powers_read_earlier(monkeypatch):
-    """Closed-form solves form no P, at the root or after; a root whose P a
-    spectral solve formed, by growing a state, gives the same runs as a
-    fresh one, and its grown states carry P.  A spectral solve of one pick
-    formed it too until its exact scores moved to the eigenbasis, so that
-    solve now makes two picks."""
+    """Closed-form solves form no P, at the root or after, and a spectral
+    solve off the small path forms none either; a root whose P was read
+    gives the same runs as a fresh one, and its grown states carry P.  A
+    spectral solve of one pick formed it too until its exact scores moved to
+    the eigenbasis, and one of two picks, by growing a state, until grown
+    states took their eigenpairs from their parent's: the root's P is now
+    read outright."""
     held = []
     with_edge = sg.LaplacianState.with_edge
 
@@ -1150,8 +1185,9 @@ def test_greedy_does_not_depend_on_powers_read_earlier(monkeypatch):
         for solver in (sg.greedy, sg.linearized)[:1 if spec == "volume" else 2]:
             solver(shared, cands, 8, sg.parse_measure(spec))
             assert shared._pinv is None, (solver.__name__, spec)
-    sg.greedy(shared, cands, 2, sg.parse_measure("tau:t=1"))  # with_edge reads P
-    assert shared._pinv is not None
+    sg.greedy(shared, cands, 2, sg.parse_measure("tau:t=1"))
+    assert shared._pinv is None
+    shared.pinv
     monkeypatch.setattr(sg.LaplacianState, "with_edge", recording)
     # the closed-form solvers grow no state
     for spec, grown in (("volume", 0), ("zeta:q=1", 0), ("zeta:q=2", 0), ("tau:t=1", 7)):
@@ -1164,6 +1200,64 @@ def test_greedy_does_not_depend_on_powers_read_earlier(monkeypatch):
             assert after.chosen == fresh.chosen, (solver.__name__, spec)
             assert after.values == fresh.values, (solver.__name__, spec)
             assert after.tie_breaks == fresh.tie_breaks, (solver.__name__, spec)
+
+
+def test_spectral_greedy_decomposes_only_the_root(monkeypatch):
+    """Greedy at unit weights on 60 nodes, for tau and hankel: each grown
+    state takes its eigenpairs from its parent's by the rank-one update, so
+    no eigh runs past the root's, and no P is formed, at the root or on any
+    grown state.  Each grown state ran an eigh, and with_edge formed the
+    root's P and downdated it, until grown states took their eigenpairs by
+    the update."""
+    calls, grown = [], []
+    eigh, with_edge = np.linalg.eigh, sg.LaplacianState.with_edge
+
+    def counting_eigh(a):
+        calls.append(len(a))
+        return eigh(a)
+
+    def recording(self, *args):
+        grown.append(with_edge(self, *args))
+        return grown[-1]
+
+    rng = np.random.default_rng(251)
+    s = sg.build_laplacian(random_connected(rng, 60))
+    c = random_candidates(rng, 60, 80, unit=True)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(sg.LaplacianState, "with_edge", recording)
+    for spec in ("tau:t=1", "hankel"):
+        grown.clear()
+        sg.greedy(s, c, 8, sg.parse_measure(spec))
+        assert calls == [] and len(grown) == 7, spec
+        assert all(state._eigvecs is not None for state in grown), spec
+        assert s._pinv is None and all(state._pinv is None for state in grown), spec
+
+
+def test_greedy_picks_do_not_depend_on_the_rank_one_update(monkeypatch):
+    """Spectral greedy on 140 nodes at k = 20, every measure family that
+    grows a state, against a run whose grown states are each decomposed by
+    eigh: the same picks and tie_breaks, and values within 1e-13 relative."""
+    from specgrow import synthesis
+    rng = np.random.default_rng(257)
+    s = sg.build_laplacian(random_connected(rng, 140))
+    c = random_candidates(rng, 140, 200)
+    with_edge = sg.LaplacianState.with_edge
+
+    def by_eigh(self, *args):
+        out = with_edge(self, *args)
+        out._update = None
+        return out
+
+    for m in kind_suite(s):
+        if m in synthesis._CLOSED_FORMS:
+            continue
+        updated = sg.greedy(s, c, 20, m)
+        with monkeypatch.context() as patch:
+            patch.setattr(sg.LaplacianState, "with_edge", by_eigh)
+            decomposed = sg.greedy(s, c, 20, m)
+        assert updated.chosen == decomposed.chosen, m.label
+        assert updated.tie_breaks == decomposed.tie_breaks, m.label
+        assert updated.values == pytest.approx(decomposed.values, rel=1e-13, abs=0.0), m.label
 
 
 def test_closed_form_runs_do_not_depend_on_solve_order():
